@@ -39,14 +39,12 @@ def _common(fn):
                       help="Load-cap constant for low-density instances.")(fn)
     fn = click.option("--seed", type=int, default=0, show_default=True,
                       help="Seed for randomized modes.")(fn)
-    fn = click.option("--parallel/--no-parallel", default=False, show_default=True,
-                      help="Fan updates out to grid instances on a thread pool.")(fn)
     fn = click.option("--out", type=click.Path(dir_okay=False, writable=True),
                       default=None, help="Write the report here instead of stdout.")(fn)
     return fn
 
 
-def _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel) -> RunConfig:
+def _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed) -> RunConfig:
     return RunConfig(
         eps=eps,
         alpha_c=alpha_c,
@@ -54,7 +52,6 @@ def _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel) -> RunConf
         dup_c=dup_c,
         threshold_c=threshold_c,
         seed=seed,
-        parallel=parallel,
     )
 
 
@@ -91,11 +88,11 @@ def main() -> None:
 @click.option("--timings/--no-timings", default=False, show_default=True,
               help="Include wall-clock phases in the summary (non-deterministic).")
 @_common
-def run_cmd(stream, timings, eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel, out):
+def run_cmd(stream, timings, eps, alpha_c, loop_c, dup_c, threshold_c, seed, out):
     """Replay a stream and emit one JSON line per query plus a summary."""
     try:
         header, events = parse_stream(_read_stream(stream))
-        report = run(header, events, _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel))
+        report = run(header, events, _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed))
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
     _emit(report.to_jsonl(include_timings=timings), out)
@@ -104,11 +101,11 @@ def run_cmd(stream, timings, eps, alpha_c, loop_c, dup_c, threshold_c, seed, par
 @main.command("verify")
 @click.option("--stream", required=True, help="Stream file, or '-' for stdin.")
 @_common
-def verify_cmd(stream, eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel, out):
+def verify_cmd(stream, eps, alpha_c, loop_c, dup_c, threshold_c, seed, out):
     """Replay with brute-force cross-checks; exit 2 on any violation."""
     try:
         header, events = parse_stream(_read_stream(stream))
-        report = verify(header, events, _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel))
+        report = verify(header, events, _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed))
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
     _emit(report.to_jsonl(), out)
@@ -127,12 +124,12 @@ def verify_cmd(stream, eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel,
 @click.option("--timings/--no-timings", default=True, show_default=True)
 @_common
 def bench_cmd(n, events, mode, bench_eps, query_every, timings,
-              eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel, out):
+              eps, alpha_c, loop_c, dup_c, threshold_c, seed, out):
     """Generate a seeded random stream, replay it, and report counters."""
     try:
         text = random_stream_text(n, mode, bench_eps, events, seed, query_every)
         header, evs = parse_stream(text)
-        report = run(header, evs, _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel))
+        report = run(header, evs, _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed))
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
     _emit(report.to_jsonl(include_timings=timings), out)
@@ -141,7 +138,7 @@ def bench_cmd(n, events, mode, bench_eps, query_every, timings,
 @main.command("oracle")
 @click.option("--stream", required=True, help="Stream file, or '-' for stdin.")
 @_common
-def oracle_cmd(stream, eps, alpha_c, loop_c, dup_c, threshold_c, seed, parallel, out):
+def oracle_cmd(stream, eps, alpha_c, loop_c, dup_c, threshold_c, seed, out):
     """Replay only the exhaustive oracle (desk-scale n) and report optima."""
     try:
         header, events = parse_stream(_read_stream(stream))

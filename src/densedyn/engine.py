@@ -8,9 +8,13 @@ rebalancing decisions read labels instead of live loads so that one load
 change never fans out to every incident arc.
 
 Parallel copies of an edge share one record per direction: a multiplicity
-counter plus a single label.  A per-vertex layer index (vertices bucketed by
-load band, with per-band weight sums) supports peak-load queries and prefix
-extraction.
+counter plus a single label.  Updates move copies in batches: ``insert`` and
+``delete`` split all their copies between the two directions with one
+water-fill, and each rebalancing flip moves as many copies of a direction as
+it takes to even out its two endpoints.  The work per update therefore does
+not grow with the number of copies.  A per-vertex layer index (vertices
+bucketed by load band, with per-band weight sums) supports peak-load queries
+and prefix extraction.
 
 Instances are single-threaded; distinct instances share nothing.
 """
@@ -100,11 +104,36 @@ class _Arc:
         self.placed = False
 
 
+def _last_true(lo: int, hi: int, ok) -> int:
+    """Largest ``x`` in ``[lo, hi]`` with ``ok(x)``, for a predicate that holds
+    at ``lo`` (never evaluated there) and switches to false at most once.
+
+    Gallops up from ``lo`` and then bisects, so a small answer costs only a
+    few probes.
+    """
+    step = 1
+    while lo < hi:
+        probe = min(lo + step, hi)
+        if not ok(probe):
+            hi = probe - 1
+            break
+        lo = probe
+        step *= 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _fresh_stats() -> dict[str, int]:
     return {
         "arcs_inc": 0,
         "arcs_dec": 0,
         "flips": 0,
+        "copies_moved": 0,
         "label_resets": 0,
         "max_chain_inc": 0,
         "max_chain_dec": 0,
@@ -190,11 +219,7 @@ class OrientationEngine:
         return self._ind[v] / self._w[v]
 
     def thresholded_load(self, v: int) -> float:
-        ind = self._ind[v]
-        kcap = self._kcap[v]
-        if kcap is not None and ind >= kcap:
-            return self.threshold
-        return ind / self._w[v]
+        return self._tload(v, self._ind[v])
 
     def level(self, v: int) -> int:
         return self._lvl[v]
@@ -232,24 +257,45 @@ class OrientationEngine:
     def insert(self, u: int, v: int, multiplicity: int = 1) -> None:
         """Insert ``multiplicity`` copies of the undirected edge {u, v}.
 
-        Each copy is oriented toward the endpoint with smaller thresholded
-        load (ties toward the smaller id), labeled with the head's resulting
-        load, and followed by a rebalancing pass from the head.
+        The batch is water-filled between the endpoints in one step: the split
+        is exactly the one that many single-copy choices would give with no
+        rebalancing in between, each copy going toward the smaller
+        thresholded load (ties toward the smaller id).  Each endpoint's count
+        and band are updated once, each direction that received copies is
+        labeled with its head's new load, and one rebalancing pass
+        (:meth:`_settle`) then starts from the endpoints that gained copies.
         """
         self._check_pair(u, v)
         if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
         if self._copies + multiplicity > self.config.capacity:
             raise ValueError("edge capacity exceeded")
-        for _ in range(multiplicity):
-            self._insert_one(u, v)
+        k = multiplicity
+        p, q = (u, v) if u < v else (v, u)
+        ip, iq = self._ind[p], self._ind[q]
+        tl = self._tload
+        # the x-th copy to p precedes the (k-x+1)-th to q in the greedy order
+        x = _last_true(0, k, lambda x: tl(p, ip + x - 1) <= tl(q, iq + k - x))
+        self.stats["inserts"] += k
+        self._copies += k
+        base = {}
+        for head, tail, c in ((q, p, k - x), (p, q, x)):
+            if c:
+                base[head] = self._lvl[head]
+                arc = self._direction(tail, head)
+                arc.count += c
+                self._shift(head, c)
+                self._relabel(arc, self.thresholded_load(head), self._lvl[head])
+        self._settle(list(base), base, {}, "max_chain_inc")
 
     def delete(self, u: int, v: int, multiplicity: int = 1) -> None:
         """Delete ``multiplicity`` copies of the undirected edge {u, v}.
 
-        Each removed copy is one currently oriented into the higher-load
-        endpoint (ties toward the smaller id); the former head is then
-        rebalanced.
+        Mirrors :meth:`insert`: copies are taken from the direction into the
+        higher-load endpoint first (ties toward the smaller id), by the same
+        greedy rule without rebalancing in between, falling back to the other
+        direction once one runs dry.  One rebalancing pass then starts from
+        the endpoints that lost copies, which may pull that many back in.
         """
         self._check_pair(u, v)
         if multiplicity < 1:
@@ -259,8 +305,36 @@ class OrientationEngine:
                 f"cannot delete {multiplicity} copies of ({u}, {v}); "
                 f"only {self.pair_copies(u, v)} present"
             )
-        for _ in range(multiplicity):
-            self._delete_one(u, v)
+        k = multiplicity
+        p, q = (u, v) if u < v else (v, u)
+        pair = self._pairs[(p, q)]
+        into_p = pair if pair.head == p else pair.twin
+        into_q = into_p.twin
+        cq = into_q.count
+        ip, iq = self._ind[p], self._ind[q]
+        tl = self._tload
+        # the x-th copy out of p precedes the (k-x+1)-th out of q in the
+        # greedy order, or q's direction has run dry
+        x = _last_true(
+            max(0, k - cq),
+            min(k, into_p.count),
+            lambda x: k - x == cq or tl(p, ip - x + 1) >= tl(q, iq - k + x),
+        )
+        self.stats["deletes"] += k
+        self._copies -= k
+        base = {}
+        owed = {}
+        for arc, c in ((into_q, k - x), (into_p, x)):
+            if c:
+                base[arc.head] = self._lvl[arc.head]
+                owed[arc.head] = c
+                self._drop(arc, c)
+                self._shift(arc.head, -c)
+        if into_p.count == 0 and into_q.count == 0:
+            del self._pairs[(p, q)]
+            self._nbrs[p].discard(q)
+            self._nbrs[q].discard(p)
+        self._settle(list(base), base, owed, "max_chain_dec")
 
     def _check_pair(self, u: int, v: int) -> None:
         n = self.config.n
@@ -268,42 +342,6 @@ class OrientationEngine:
             raise ValueError(f"vertex out of range: ({u}, {v})")
         if u == v:
             raise ValueError(f"self-loop ({u}, {u}) rejected")
-
-    def _insert_one(self, u: int, v: int) -> None:
-        self.stats["inserts"] += 1
-        lu = self.thresholded_load(u)
-        lv = self.thresholded_load(v)
-        if lu < lv or (lu == lv and u < v):
-            head, tail = u, v
-        else:
-            head, tail = v, u
-        arc = self._direction(tail, head)
-        arc.count += 1
-        self._copies += 1
-        self._inc_load(head)
-        self._relabel(arc, self.thresholded_load(head), self._lvl[head])
-        self._check_inc(head)
-
-    def _delete_one(self, u: int, v: int) -> None:
-        self.stats["deletes"] += 1
-        key = (u, v) if u < v else (v, u)
-        pair = self._pairs[key]
-        into_u = pair if pair.head == u else pair.twin
-        into_v = into_u.twin
-        lu = self.thresholded_load(u)
-        lv = self.thresholded_load(v)
-        prefer_u = lu > lv or (lu == lv and u < v)
-        arc = into_u if prefer_u else into_v
-        if arc.count == 0:
-            arc = arc.twin
-        head = arc.head
-        self._drop_copy(arc)
-        self._dec_load(head)
-        if arc.count == 0 and arc.twin.count == 0:
-            del self._pairs[key]
-            self._nbrs[u].discard(v)
-            self._nbrs[v].discard(u)
-        self._check_dec(head)
 
     # ------------------------------------------------------------------
     # queries
@@ -417,9 +455,8 @@ class OrientationEngine:
             pair = fwd
         return pair if pair.tail == tail else pair.twin
 
-    def _drop_copy(self, arc: _Arc) -> None:
-        arc.count -= 1
-        self._copies -= 1
+    def _drop(self, arc: _Arc, c: int) -> None:
+        arc.count -= c
         if arc.count == 0 and arc.placed:
             self._struct_remove(arc)
 
@@ -460,38 +497,51 @@ class OrientationEngine:
         arc.label = value
         arc.label_level = lvl
 
-    def _inc_load(self, v: int) -> None:
-        ind = self._ind[v] + 1
-        self._ind[v] = ind
-        lvl = self._lvl[v]
+    def _tload(self, v: int, ind: int) -> float:
+        """Thresholded load of ``v`` were its in-degree ``ind``."""
         kcap = self._kcap[v]
         if kcap is not None and ind >= kcap:
-            new = self._cap_level
-        else:
-            w = self._w[v]
-            b = self.params.boundaries
-            # a single copy moves the load by 1/w <= 1: at most one band up
-            new = lvl if ind <= b[lvl] * w + BOUNDARY_TOL * w else lvl + 1
-        if new != lvl:
-            self._move_layer(v, lvl, new)
+            return self.threshold
+        return ind / self._w[v]
 
-    def _dec_load(self, v: int) -> None:
-        ind = self._ind[v] - 1
-        self._ind[v] = ind
-        lvl = self._lvl[v]
+    def _band(self, v: int, ind: int) -> int:
+        """Band of ``v`` were its in-degree ``ind``, read off the level table."""
         kcap = self._kcap[v]
         if kcap is not None and ind >= kcap:
-            return
-        if ind == 0:
-            new = 0
-        elif lvl > 0:
-            w = self._w[v]
-            b = self.params.boundaries
-            new = lvl - 1 if ind <= b[lvl - 1] * w + BOUNDARY_TOL * w else lvl
-        else:
-            new = 0
-        if new != lvl:
-            self._move_layer(v, lvl, new)
+            return self._cap_level
+        return self.params.level_of_ratio(ind, self._w[v])
+
+    def _shift(self, v: int, delta: int) -> None:
+        """Add ``delta`` copies to the in-degree of ``v`` and refile it in the
+        layer index under the band the level table gives."""
+        ind = self._ind[v] + delta
+        self._ind[v] = ind
+        old = self._lvl[v]
+        new = self._band(v, ind)
+        if new != old:
+            self._move_layer(v, old, new)
+
+    def _even_out(self, arc: _Arc) -> int:
+        """Copies of tail->head to flip so that each one lowers the pair's
+        ``sum(indeg^2 / weight)``: the water-fill that brings the two loads
+        within one copy of each other, capped at the arc's count."""
+        head, tail = arc.head, arc.tail
+        wh, wt = self._w[head], self._w[tail]
+        gap = self._ind[head] / wh - self._ind[tail] / wt
+        return min(arc.count, max(1, math.ceil(gap / (1.0 / wh + 1.0 / wt) - 0.5)))
+
+    def _move(self, arc: _Arc, m: int) -> None:
+        """Reorient ``m`` copies of tail->head to head->tail, labeling the
+        receiving direction with the tail's new load."""
+        self.stats["flips"] += 1
+        self.stats["copies_moved"] += m
+        self._drop(arc, m)
+        self._shift(arc.head, -m)
+        twin = arc.twin
+        twin.count += m
+        tail = arc.tail
+        self._shift(tail, m)
+        self._relabel(twin, self.thresholded_load(tail), self._lvl[tail])
 
     def _move_layer(self, v: int, old: int, new: int) -> None:
         w = self._w[v]
@@ -517,104 +567,120 @@ class OrientationEngine:
                 top -= 1
             self._top = top
 
-    def _check_inc(self, v: int) -> None:
-        """Rebalance after the load of ``v`` went up by one copy.
+    def _settle(self, todo: list[int], base: dict[int, int], owed: dict[int, int],
+                chain: str) -> None:
+        """Rebalance after an update until no vertex it touched is stale.
 
-        Scans stale-low labeled incoming directions (cheapest first).  A
-        direction whose tail sits two or more bands below gets one copy
-        flipped back toward the tail, restoring ``v`` and moving the problem
-        to the tail; otherwise its label is refreshed.  Tail calls are
-        flattened into a loop.
+        ``todo`` holds the endpoints the update changed, ``base`` the band
+        each had before it, and ``owed`` the copies a deletion took from
+        each.  A visit to ``x`` repeats two steps until neither moves a copy:
+
+        * Pull-back: an outgoing direction labeled three or more bands above
+          ``x`` is checked against its head.  A head two or more bands above
+          ``x`` is evened out with ``x``.  Otherwise, if ``x`` still owes
+          copies, up to that many come home as long as ``x`` ends at most one
+          band above the head.  Otherwise only the label is stale, and it
+          gets the head's load.
+        * Flip: incoming directions labeled two or more bands below ``x`` are
+          scanned cheapest first.  A tail also two or more bands below is
+          evened out with ``x``; any other stale label is refreshed.
+
+        Then stale-high labels on incoming directions are refreshed, highest
+        first.  Each scan stops at the first fresh label or after ``budget``
+        arcs per band ``x`` moved since it was queued.  Every move queues its
+        other endpoint.  Evening out lowers ``sum(indeg^2 / weight)`` with each
+        copy and owed copies only run down, so the queue empties.
         """
         stats = self.stats
-        budget = self.budget
         lvl = self._lvl
-        depth = 0
-        while True:
-            depth += 1
-            in_map = self._in[v]
-            lvl_v = lvl[v]
-            load_v = None
-            flip_to = -1
-            for _ in range(budget):
-                if not in_map:
-                    break
-                _, bucket = in_map.peekitem(0)
-                arc = next(iter(bucket))
-                stats["arcs_inc"] += 1
-                if lvl_v < arc.label_level + 2:
-                    break  # freshest possible; the rest are labeled higher
-                u = arc.tail
-                if lvl[u] + 2 <= lvl_v:
-                    stats["flips"] += 1
-                    self._drop_copy(arc)
-                    self._dec_load(v)
-                    twin = arc.twin
-                    twin.count += 1
-                    self._copies += 1
-                    self._inc_load(u)
-                    self._relabel(twin, self.thresholded_load(u), lvl[u])
-                    flip_to = u
-                    break
-                stats["label_resets"] += 1
-                if load_v is None:
-                    load_v = self.thresholded_load(v)
-                self._relabel(arc, load_v, lvl_v)
-            if flip_to < 0:
-                if depth > stats["max_chain_inc"]:
-                    stats["max_chain_inc"] = depth
-                return
-            v = flip_to
+        ind = self._ind
+        band = self._band
+        depth = dict.fromkeys(todo, 1)
+        deepest = 0
 
-    def _check_dec(self, u: int) -> None:
-        """Rebalance after the load of ``u`` went down by one copy.
+        def touch(y: int, d: int) -> None:
+            if y not in depth:
+                depth[y] = d
+                base[y] = lvl[y]
+                todo.append(y)
 
-        If some outgoing direction is labeled three or more bands above
-        ``u``, one copy is pulled back in, restoring ``u`` and recursing on
-        the donor; otherwise stale-high labels on incoming directions are
-        refreshed, highest first.
-        """
-        stats = self.stats
-        budget = self.budget
-        lvl = self._lvl
-        depth = 0
-        while True:
-            depth += 1
-            out_map = self._out[u]
-            if out_map:
-                top_band, bucket = out_map.peekitem(-1)
-                if lvl[u] + 3 <= top_band:
-                    arc = next(iter(bucket))  # u -> v; pull one copy home
+        while todo:
+            x = todo.pop()
+            d = depth.pop(x)
+            deepest = max(deepest, d)
+            budget = self.budget * max(1, abs(lvl[x] - base.pop(x)))
+            out_map = self._out[x]
+            in_map = self._in[x]
+            while True:
+                while out_map:
+                    top, bucket = out_map.peekitem(-1)
+                    lx = lvl[x]
+                    if lx + 3 > top:
+                        break
+                    arc = next(iter(bucket))  # x -> y
+                    y = arc.head
                     stats["arcs_dec"] += 1
-                    stats["flips"] += 1
-                    v = arc.head
-                    self._drop_copy(arc)
-                    self._dec_load(v)
-                    twin = arc.twin
-                    twin.count += 1
-                    self._copies += 1
-                    self._inc_load(u)
-                    self._relabel(twin, self.thresholded_load(u), lvl[u])
-                    u = v
-                    continue
-            in_map = self._in[u]
-            lvl_u = lvl[u]
-            load_u = None
+                    ly = lvl[y]
+                    if lx + 2 <= ly:
+                        m = self._even_out(arc)
+                    else:
+                        due = owed.get(x, 0)
+                        if not due or lx > ly + 1:
+                            # the head is not above x: only the label is stale
+                            stats["label_resets"] += 1
+                            self._relabel(arc, self.thresholded_load(y), ly)
+                            continue
+                        # x still owes copies a deletion took: pull them home
+                        # as long as x ends at most one band above the head
+                        ix, iy = ind[x], ind[y]
+                        m = _last_true(
+                            1,
+                            min(due, arc.count),
+                            lambda m: band(x, ix + m - 1) <= band(y, iy - m + 1) + 1,
+                        )
+                        owed[x] = due - m
+                    touch(y, d + 1)
+                    self._move(arc, m)
+                moved = False
+                load_x = None
+                for _ in range(budget):
+                    if not in_map:
+                        break
+                    _, bucket = in_map.peekitem(0)
+                    arc = next(iter(bucket))  # t -> x
+                    stats["arcs_inc"] += 1
+                    lx = lvl[x]
+                    if lx < arc.label_level + 2:
+                        break  # freshest possible; the rest are labeled higher
+                    t = arc.tail
+                    if lvl[t] + 2 <= lx:
+                        m = self._even_out(arc)
+                        touch(t, d + 1)
+                        self._move(arc, m)
+                        moved = True
+                        break
+                    stats["label_resets"] += 1
+                    if load_x is None:
+                        load_x = self.thresholded_load(x)
+                    self._relabel(arc, load_x, lx)
+                if not moved:
+                    break
+            lx = lvl[x]
+            load_x = None
             for _ in range(budget):
                 if not in_map:
                     break
                 _, bucket = in_map.peekitem(-1)
                 arc = next(iter(bucket))
                 stats["arcs_dec"] += 1
-                if arc.label_level < lvl_u + 2:
+                if arc.label_level < lx + 2:
                     break
                 stats["label_resets"] += 1
-                if load_u is None:
-                    load_u = self.thresholded_load(u)
-                self._relabel(arc, load_u, lvl_u)
-            if depth > stats["max_chain_dec"]:
-                stats["max_chain_dec"] = depth
-            return
+                if load_x is None:
+                    load_x = self.thresholded_load(x)
+                self._relabel(arc, load_x, lx)
+        if deepest > stats[chain]:
+            stats[chain] = deepest
 
     # ------------------------------------------------------------------
     # diagnostics

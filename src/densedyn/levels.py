@@ -1,11 +1,10 @@
 """Geometric load levels shared by the orientation machinery.
 
 Loads are bucketed into bands ``(L[i-1], L[i]]`` where ``L[0] = 0`` and
-``L[i] = (1 + alpha) * L[i-1] + 1``.  Consecutive boundaries are at least 1
-apart, so a single in-degree change of ``1/weight <= 1`` moves a vertex by at
-most one band.  All band lookups go through the precomputed boundary table
-instead of a closed-form log/ceil so that every comparison in the system
-agrees about boundary cases.
+``L[i] = (1 + alpha) * L[i-1] + 1``, so consecutive boundaries are at least 1
+apart.  Band lookups are decided by the precomputed boundary table, never by
+the closed form alone, so that every comparison in the system agrees about
+boundary cases.
 """
 
 from __future__ import annotations
@@ -38,18 +37,9 @@ class LevelParams:
         """
         if x < 0:
             raise ValueError(f"level_of: negative value {x}")
-        b = self.boundaries
-        if x > b[-1] + BOUNDARY_TOL:
+        if x > self.boundaries[-1] + BOUNDARY_TOL:
             raise ValueError(f"level_of: {x} exceeds max_value {self.max_value}")
-        # First boundary >= x (within tolerance).
-        lo, hi = 0, len(b) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if x <= b[mid] + BOUNDARY_TOL:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return self._first_at_least(x, 1.0)
 
     def level_of_ratio(self, num: float, den: float) -> int:
         """Band index of ``num / den`` without performing the division.
@@ -60,19 +50,29 @@ class LevelParams:
         """
         if num < 0 or den <= 0:
             raise ValueError(f"level_of_ratio: bad ratio {num}/{den}")
-        b = self.boundaries
-        if num > (b[-1] + BOUNDARY_TOL) * den:
+        if num > (self.boundaries[-1] + BOUNDARY_TOL) * den:
             raise ValueError(
                 f"level_of_ratio: {num}/{den} exceeds max_value {self.max_value}"
             )
-        lo, hi = 0, len(b) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if num <= b[mid] * den + BOUNDARY_TOL * den:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return self._first_at_least(num, den)
+
+    def _first_at_least(self, num: float, den: float) -> int:
+        """Smallest ``i`` with ``num <= L[i] * den`` (within tolerance).
+
+        The closed form ``L[i] = ((1 + alpha)^i - 1) / alpha`` gives a guess
+        that is off by at most a step or two; the stored table decides.
+        """
+        b = self.boundaries
+        top = len(b) - 1
+        tol = BOUNDARY_TOL * den
+        alpha = self.alpha
+        i = math.ceil(math.log1p(alpha * num / den) / math.log1p(alpha))
+        i = min(max(i, 0), top)
+        while i < top and num > b[i] * den + tol:
+            i += 1
+        while i > 0 and num <= b[i - 1] * den + tol:
+            i -= 1
+        return i
 
 
 def build_level_params(alpha: float, max_value: float) -> LevelParams:

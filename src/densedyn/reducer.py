@@ -16,7 +16,6 @@ densities of concrete vertex sets, so they never overshoot the optimum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .engine import (
@@ -62,7 +61,6 @@ class GridParams:
     threshold_c: float = 4.0
     saturation_c: float = 1.0
     capacity: int = DEFAULT_CAPACITY
-    parallel: bool = False
 
 
 @dataclass
@@ -154,9 +152,6 @@ class DirectedDensest:
             )
             self.entries.append(GridEntry(t=t, scale=scale, low=low, high=high))
         self._mirror: dict[tuple[int, int], int] = {}
-        self._pool = None
-        if params.parallel and len(self.entries) > 1:
-            self._pool = ThreadPoolExecutor(max_workers=min(8, len(self.entries)))
 
     # ------------------------------------------------------------------
 
@@ -173,42 +168,36 @@ class DirectedDensest:
         if u == v:
             raise ValueError(f"self-loop ({u}, {u}) rejected")
 
-    def _fan_out(self, fn) -> None:
-        if self._pool is not None:
-            list(self._pool.map(fn, self.entries))
-        else:
-            for entry in self.entries:
-                fn(entry)
-
     def insert_directed(self, u: int, v: int) -> None:
-        """Insert directed edge (u, v) into every instance."""
-        self._check_edge(u, v)
-        self._mirror[(u, v)] = self._mirror.get((u, v), 0) + 1
-        left, right, dup = u, self.n + v, self.dup
+        """Insert directed edge (u, v) into every instance.
 
-        def apply(entry: GridEntry) -> None:
+        All or nothing: every check runs before any structure changes.  Each
+        low engine holds ``dup`` copies per edge and each high engine one, so
+        the first low engine speaks for the capacity of all of them.
+        """
+        self._check_edge(u, v)
+        if self.entries[0].low.total_copies + self.dup > self.params.capacity:
+            raise ValueError("edge capacity exceeded")
+        left, right, dup = u, self.n + v, self.dup
+        for entry in self.entries:
             entry.low.insert(left, right, dup)
             entry.high.insert(left, right, 1)
-
-        self._fan_out(apply)
+        self._mirror[(u, v)] = self._mirror.get((u, v), 0) + 1
 
     def delete_directed(self, u: int, v: int) -> None:
-        """Delete directed edge (u, v) from every instance."""
+        """Delete directed edge (u, v) from every instance; all or nothing."""
         self._check_edge(u, v)
         count = self._mirror.get((u, v), 0)
         if count == 0:
             raise ValueError(f"directed edge ({u}, {v}) not present")
+        left, right, dup = u, self.n + v, self.dup
+        for entry in self.entries:
+            entry.low.delete(left, right, dup)
+            entry.high.delete(left, right, 1)
         if count == 1:
             del self._mirror[(u, v)]
         else:
             self._mirror[(u, v)] = count - 1
-        left, right, dup = u, self.n + v, self.dup
-
-        def apply(entry: GridEntry) -> None:
-            entry.low.delete(left, right, dup)
-            entry.high.delete(left, right, 1)
-
-        self._fan_out(apply)
 
     # ------------------------------------------------------------------
 
@@ -271,8 +260,3 @@ class DirectedDensest:
     def reset_stats(self) -> None:
         for eng in self.engines():
             eng.reset_stats()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None

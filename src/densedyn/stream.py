@@ -146,7 +146,6 @@ class RunConfig:
     threshold_c: float = 4.0
     saturation_c: float = 1.0
     seed: int = 0
-    parallel: bool = False
 
     def grid_params(self) -> GridParams:
         return GridParams(
@@ -155,7 +154,6 @@ class RunConfig:
             dup_c=self.dup_c,
             threshold_c=self.threshold_c,
             saturation_c=self.saturation_c,
-            parallel=self.parallel,
         )
 
 
@@ -195,7 +193,6 @@ def _config_echo(header: StreamHeader, config: RunConfig, eps: float) -> dict:
         "threshold_c": config.threshold_c,
         "saturation_c": config.saturation_c,
         "seed": config.seed,
-        "parallel": config.parallel,
     }
 
 

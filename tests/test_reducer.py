@@ -103,16 +103,16 @@ class TestUpdates:
         with pytest.raises(ValueError):
             g.delete_directed(0, 1)
 
-    def test_parallel_fan_out_matches_serial(self):
-        serial = DirectedDensest(4, 0.4)
-        parallel = DirectedDensest(4, 0.4, GridParams(parallel=True))
-        ops = [(0, 1), (1, 2), (2, 3), (0, 2), (3, 0)]
-        for u, v in ops:
-            serial.insert_directed(u, v)
-            parallel.insert_directed(u, v)
-        qs, qp = serial.query(), parallel.query()
-        assert qs == qp
-        parallel.close()
+    def test_rejected_insert_changes_nothing(self):
+        # every low engine takes dup = 50 copies per edge; a capacity of 40
+        # rejects the first edge, which must leave no phantom in the mirror
+        g = DirectedDensest(4, 0.4, GridParams(capacity=40))
+        with pytest.raises(ValueError, match="capacity"):
+            g.insert_directed(0, 1)
+        assert g.directed_edges() == {}
+        assert all(eng.total_copies == 0 for eng in g.engines())
+        with pytest.raises(ValueError):
+            g.delete_directed(0, 1)
 
 
 class TestQuery:
