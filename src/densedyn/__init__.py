@@ -18,7 +18,6 @@ from .reducer import (
     DirectedDensest,
     DirectedQueryResult,
     GridParams,
-    best_t_sanity,
     ratio_grid,
 )
 
@@ -31,7 +30,6 @@ __all__ = [
     "INF",
     "LevelParams",
     "OrientationEngine",
-    "best_t_sanity",
     "build_level_params",
     "duplication_factor",
     "extract",

@@ -27,32 +27,26 @@ from .stream import (
 CONTEXT = {"auto_envvar_prefix": "DENSEDYN", "help_option_names": ["-h", "--help"]}
 
 
-def _common(fn):
-    fn = click.option("--eps", type=float, default=None, help="Override header epsilon.")(fn)
-    fn = click.option("--alpha-c", type=float, default=0.25, show_default=True,
-                      help="Constant in the band-width derivation.")(fn)
-    fn = click.option("--loop-c", type=int, default=4, show_default=True,
-                      help="Arc-scan budget constant per rebalance call.")(fn)
-    fn = click.option("--dup-c", type=float, default=4.0, show_default=True,
-                      help="Edge duplication constant.")(fn)
+_stream = click.option("--stream", required=True, help="Stream file, or '-' for stdin.")
+_out = click.option("--out", type=click.Path(dir_okay=False, writable=True),
+                    default=None, help="Write the report here instead of stdout.")
+
+
+def _tuning(fn):
+    """The tuning constants, named as the :class:`RunConfig` fields, and ``--out``."""
+    fn = _out(fn)
     fn = click.option("--threshold-c", type=float, default=4.0, show_default=True,
                       help="Load-cap constant for low-density instances.")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True,
-                      help="Seed for randomized modes.")(fn)
-    fn = click.option("--out", type=click.Path(dir_okay=False, writable=True),
-                      default=None, help="Write the report here instead of stdout.")(fn)
+    fn = click.option("--dup-c", type=float, default=4.0, show_default=True,
+                      help="Edge duplication constant.")(fn)
+    fn = click.option("--loop-c", type=int, default=4, show_default=True,
+                      help="Arc-scan budget constant per rebalance call.")(fn)
+    fn = click.option("--alpha-c", type=float, default=0.25, show_default=True,
+                      help="Constant in the band-width derivation.")(fn)
     return fn
 
 
-def _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed) -> RunConfig:
-    return RunConfig(
-        eps=eps,
-        alpha_c=alpha_c,
-        loop_c=loop_c,
-        dup_c=dup_c,
-        threshold_c=threshold_c,
-        seed=seed,
-    )
+_eps_override = click.option("--eps", type=float, default=None, help="Override header epsilon.")
 
 
 def _read_stream(path: str) -> str:
@@ -84,28 +78,30 @@ def main() -> None:
 
 
 @main.command("run")
-@click.option("--stream", required=True, help="Stream file, or '-' for stdin.")
+@_stream
 @click.option("--timings/--no-timings", default=False, show_default=True,
               help="Include wall-clock phases in the summary (non-deterministic).")
-@_common
-def run_cmd(stream, timings, eps, alpha_c, loop_c, dup_c, threshold_c, seed, out):
+@_eps_override
+@_tuning
+def run_cmd(stream, timings, eps, out, **tuning):
     """Replay a stream and emit one JSON line per query plus a summary."""
     try:
         header, events = parse_stream(_read_stream(stream))
-        report = run(header, events, _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed))
+        report = run(header, events, RunConfig(eps=eps, **tuning))
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
     _emit(report.to_jsonl(include_timings=timings), out)
 
 
 @main.command("verify")
-@click.option("--stream", required=True, help="Stream file, or '-' for stdin.")
-@_common
-def verify_cmd(stream, eps, alpha_c, loop_c, dup_c, threshold_c, seed, out):
+@_stream
+@_eps_override
+@_tuning
+def verify_cmd(stream, eps, out, **tuning):
     """Replay with brute-force cross-checks; exit 2 on any violation."""
     try:
         header, events = parse_stream(_read_stream(stream))
-        report = verify(header, events, _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed))
+        report = verify(header, events, RunConfig(eps=eps, **tuning))
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
     _emit(report.to_jsonl(), out)
@@ -117,28 +113,30 @@ def verify_cmd(stream, eps, alpha_c, loop_c, dup_c, threshold_c, seed, out):
 @click.option("--n", type=int, default=100, show_default=True, help="Vertex count.")
 @click.option("--events", type=int, default=10000, show_default=True, help="Update count.")
 @click.option("--mode", type=click.Choice(["ddsg", "vwdsg"]), default="vwdsg", show_default=True)
-@click.option("--bench-eps", type=float, default=0.2, show_default=True,
-              help="Epsilon written into the generated stream header.")
 @click.option("--query-every", type=int, default=0, show_default=True,
               help="Insert a query every this many updates (0: only at the end).")
 @click.option("--timings/--no-timings", default=True, show_default=True)
-@_common
-def bench_cmd(n, events, mode, bench_eps, query_every, timings,
-              eps, alpha_c, loop_c, dup_c, threshold_c, seed, out):
+@click.option("--eps", type=float, default=0.2, show_default=True,
+              help="Epsilon written into the generated stream header.")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the generated stream.")
+@_tuning
+def bench_cmd(n, events, mode, query_every, timings, eps, seed, out, **tuning):
     """Generate a seeded random stream, replay it, and report counters."""
     try:
-        text = random_stream_text(n, mode, bench_eps, events, seed, query_every)
+        text = random_stream_text(n, mode, eps, events, seed, query_every)
         header, evs = parse_stream(text)
-        report = run(header, evs, _config(eps, alpha_c, loop_c, dup_c, threshold_c, seed))
+        report = run(header, evs, RunConfig(**tuning))
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
+    report.config["seed"] = seed
     _emit(report.to_jsonl(include_timings=timings), out)
 
 
 @main.command("oracle")
-@click.option("--stream", required=True, help="Stream file, or '-' for stdin.")
-@_common
-def oracle_cmd(stream, eps, alpha_c, loop_c, dup_c, threshold_c, seed, out):
+@_stream
+@_out
+def oracle_cmd(stream, out):
     """Replay only the exhaustive oracle (desk-scale n) and report optima."""
     try:
         header, events = parse_stream(_read_stream(stream))

@@ -12,9 +12,8 @@ counter plus a single label.  Updates move copies in batches: ``insert`` and
 ``delete`` split all their copies between the two directions with one
 water-fill, and each rebalancing flip moves as many copies of a direction as
 it takes to even out its two endpoints.  The work per update therefore does
-not grow with the number of copies.  A per-vertex layer index (vertices
-bucketed by load band, with per-band weight sums) supports peak-load queries
-and prefix extraction.
+not grow with the number of copies.  A layer index (vertices bucketed by
+load band) supports peak-load queries and prefix extraction.
 
 Instances are single-threaded; distinct instances share nothing.
 """
@@ -30,6 +29,8 @@ from .levels import BOUNDARY_TOL, LevelParams, build_level_params
 
 INF = math.inf
 DEFAULT_CAPACITY = 2**32
+# Weight of the log term in a thresholded instance's saturation trigger.
+SATURATION_C = 1.0
 
 
 def log_scale(x: float) -> float:
@@ -66,7 +67,6 @@ class EngineConfig:
     threshold: float = INF
     duplication: int = 1
     capacity: int = DEFAULT_CAPACITY
-    saturation_c: float = 1.0
 
     def validate(self, max_weight: float) -> None:
         if self.n < 1:
@@ -187,7 +187,6 @@ class OrientationEngine:
         self._pairs: dict[tuple[int, int], _Arc] = {}
         self._nbrs = [set() for _ in range(n)]
         self._layers: dict[int, set[int]] = {0: set(range(n))}
-        self._layer_w: dict[int, float] = {0: math.fsum(w)}
         self._top = 0
         self._copies = 0
         self.stats = _fresh_stats()
@@ -244,9 +243,6 @@ class OrientationEngine:
 
     def layer_members(self, level: int) -> set[int]:
         return self._layers.get(level, set())
-
-    def layer_weight(self, level: int) -> float:
-        return self._layer_w.get(level, 0.0)
 
     def reset_stats(self) -> None:
         self.stats = _fresh_stats()
@@ -356,7 +352,7 @@ class OrientationEngine:
     def saturation_trigger(self) -> float:
         """Peak load at which a thresholded instance stops being trusted."""
         cfg = self.config
-        return (1.0 - cfg.epsilon) * self.threshold - cfg.saturation_c * log_scale(
+        return (1.0 - cfg.epsilon) * self.threshold - SATURATION_C * log_scale(
             cfg.n * self.max_weight
         ) / cfg.epsilon
 
@@ -412,16 +408,6 @@ class OrientationEngine:
         loads = {v: self.thresholded_load(v) for v in range(self.config.n)}
         arcs = [(t, h, c) for t, h, c, _, _ in self.iter_arcs()]
         return loads, arcs
-
-    def vertex_record(self, v: int) -> dict:
-        return {
-            "id": v,
-            "weight": self._w[v],
-            "indeg": self._ind[v],
-            "load": self.load(v),
-            "thresholded_load": self.thresholded_load(v),
-            "level": self._lvl[v],
-        }
 
     def arc_pair_record(self, u: int, v: int) -> dict:
         key = (u, v) if u < v else (v, u)
@@ -544,19 +530,14 @@ class OrientationEngine:
         self._relabel(twin, self.thresholded_load(tail), self._lvl[tail])
 
     def _move_layer(self, v: int, old: int, new: int) -> None:
-        w = self._w[v]
         bucket = self._layers[old]
         bucket.discard(v)
-        self._layer_w[old] -= w
         if not bucket:
             del self._layers[old]
-            del self._layer_w[old]
         if new in self._layers:
             self._layers[new].add(v)
-            self._layer_w[new] += w
         else:
             self._layers[new] = {v}
-            self._layer_w[new] = w
         self._lvl[v] = new
         if new > self._top:
             self._top = new
@@ -685,18 +666,6 @@ class OrientationEngine:
     # ------------------------------------------------------------------
     # diagnostics
 
-    def force_label(self, tail: int, head: int, value: float) -> None:
-        """Overwrite the label of a live direction.  Testing only: this can
-        plant states the update rules would never produce."""
-        key = (tail, head) if tail < head else (head, tail)
-        pair = self._pairs.get(key)
-        if pair is None:
-            raise ValueError(f"no edge between {tail} and {head}")
-        arc = pair if pair.tail == tail else pair.twin
-        if arc.count == 0:
-            raise ValueError(f"direction {tail}->{head} has no copies")
-        self._relabel(arc, value, self.params.level_of(value))
-
     def debug_audit(self) -> None:
         """Cross-check every redundant structure; raises AssertionError."""
         n = self.config.n
@@ -729,8 +698,6 @@ class OrientationEngine:
             assert v in self._layers[self._lvl[v]], f"layer bucket drift at {v}"
         for level, members in self._layers.items():
             assert members, f"empty layer bucket {level} retained"
-            wsum = math.fsum(self._w[v] for v in members)
-            assert abs(wsum - self._layer_w[level]) < 1e-6, "layer weight drift"
         assert self._top == max(self._layers), "top layer drift"
         for v in range(n):
             for label, bucket in self._in[v].items():

@@ -91,14 +91,3 @@ def build_level_params(alpha: float, max_value: float) -> LevelParams:
         cur = (1.0 + alpha) * cur + 1.0
         boundaries.append(cur)
     return LevelParams(alpha=alpha, max_value=max_value, boundaries=tuple(boundaries))
-
-
-def closed_form_level(alpha: float, x: float) -> int:
-    """Log/ceil evaluation of the band index, kept only as a cross-check.
-
-    Production lookups must use :meth:`LevelParams.level_of`; this form can
-    disagree with the stored table exactly at boundaries.
-    """
-    if x <= 0:
-        return 0
-    return math.ceil(math.log(alpha * x + 1.0) / math.log(1.0 + alpha))

@@ -79,6 +79,16 @@ def _subset_bits(n: int) -> np.ndarray:
     )
 
 
+def _edge_counts(g: SmallGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``edge_cnt[s, t]``, the edge copies from mask ``s`` into mask ``t``,
+    and the vertex count of every mask."""
+    mult = np.zeros((g.n, g.n), dtype=np.int64)
+    for (u, v), m in g.edges.items():
+        mult[u, v] = m
+    bits = _subset_bits(g.n)
+    return bits.T @ (mult @ bits), bits.sum(axis=0)
+
+
 def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
@@ -168,15 +178,7 @@ def _ddsg_profile(g: SmallGraph, cap: int) -> tuple[int, int, int]:
     if g.n == 0 or not g.edges:
         return 0, 1 if g.n else 0, 1 if g.n else 0
 
-    mult = np.zeros((g.n, g.n), dtype=np.int64)
-    for (u, v), m in g.edges.items():
-        mult[u, v] = m
-    bits = _subset_bits(g.n)
-    # edge_cnt[s, t] = number of edge copies from mask s into mask t
-    into_t = mult @ bits                    # (n, 2^n)
-    edge_cnt = bits.T @ into_t              # (2^n, 2^n)
-    sizes = bits.sum(axis=0)
-
+    edge_cnt, sizes = _edge_counts(g)
     size_s = np.maximum(sizes[:, None], 1)
     size_t = np.maximum(sizes[None, :], 1)
     dens_sq = (edge_cnt.astype(np.float64) ** 2) / (size_s * size_t)
@@ -274,13 +276,7 @@ def _best_reduced(
         return (0, 1, 0)
     p, q = t_squared.numerator, t_squared.denominator
 
-    mult = np.zeros((g.n, g.n), dtype=np.int64)
-    for (u, v), m in g.edges.items():
-        mult[u, v] = m
-    bits = _subset_bits(g.n)
-    into_t = mult @ bits
-    edge_cnt = bits.T @ into_t
-    sizes = bits.sum(axis=0)
+    edge_cnt, sizes = _edge_counts(g)
 
     # float pre-pass over all (S_left, T_right) pairs; exact pass follows
     pf, qf = float(p), float(q)

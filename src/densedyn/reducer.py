@@ -59,7 +59,6 @@ class GridParams:
     loop_c: int = 4
     dup_c: float = 4.0
     threshold_c: float = 4.0
-    saturation_c: float = 1.0
     capacity: int = DEFAULT_CAPACITY
 
 
@@ -90,15 +89,6 @@ class DirectedQueryResult:
 
 
 _EMPTY_RESULT = DirectedQueryResult(0.0, frozenset(), frozenset(), 0.0, "low")
-
-
-def best_t_sanity(sources, sinks) -> float:
-    """Lower bound on the directed optimum implied by an optimal pair's
-    shape: max(sqrt(|S|/|T|), sqrt(|T|/|S|))."""
-    s, t = len(set(sources)), len(set(sinks))
-    if s == 0 or t == 0:
-        raise ValueError("both sides must be nonempty")
-    return max(math.sqrt(s / t), math.sqrt(t / s))
 
 
 class DirectedDensest:
@@ -133,7 +123,6 @@ class DirectedDensest:
                     threshold=self.cap,
                     duplication=self.dup,
                     capacity=params.capacity,
-                    saturation_c=params.saturation_c,
                 ),
                 weights,
             )
@@ -146,7 +135,6 @@ class DirectedDensest:
                     threshold=INF,
                     duplication=1,
                     capacity=params.capacity,
-                    saturation_c=params.saturation_c,
                 ),
                 weights,
             )
@@ -256,7 +244,3 @@ class DirectedDensest:
                 else:
                     total[key] = total.get(key, 0) + val
         return total
-
-    def reset_stats(self) -> None:
-        for eng in self.engines():
-            eng.reset_stats()

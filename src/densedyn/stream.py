@@ -8,22 +8,22 @@ Stream format (whitespace separated, LF terminated)::
     - <u> <v>                      delete edge
     ?                              query
 
-Replay is deterministic: identical stream, configuration and seed produce a
+Replay is deterministic: identical stream and configuration produce a
 byte-identical report (timings are kept out of the serialized form unless
-explicitly requested).
+explicitly requested).  ``run``, ``verify`` and ``oracle_replay`` share one
+event loop, ``_replay``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import oracle
-from .engine import EngineConfig, INF, OrientationEngine, duplication_factor
+from .engine import EngineConfig, OrientationEngine, duplication_factor
 from .extract import extract
 from .reducer import DirectedDensest, GridParams
 
@@ -144,17 +144,6 @@ class RunConfig:
     loop_c: int = 4
     dup_c: float = 4.0
     threshold_c: float = 4.0
-    saturation_c: float = 1.0
-    seed: int = 0
-
-    def grid_params(self) -> GridParams:
-        return GridParams(
-            alpha_c=self.alpha_c,
-            loop_c=self.loop_c,
-            dup_c=self.dup_c,
-            threshold_c=self.threshold_c,
-            saturation_c=self.saturation_c,
-        )
 
 
 @dataclass
@@ -182,18 +171,100 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _config_echo(header: StreamHeader, config: RunConfig, eps: float) -> dict:
-    return {
-        "n": header.n,
-        "mode": header.mode,
-        "eps": eps,
-        "alpha_c": config.alpha_c,
-        "loop_c": config.loop_c,
-        "dup_c": config.dup_c,
-        "threshold_c": config.threshold_c,
-        "saturation_c": config.saturation_c,
-        "seed": config.seed,
-    }
+def _replay(events: list[UpdateEvent], insert, delete, query) -> None:
+    """Apply each event in order; ``query`` gets the index of each query.
+
+    Every ``ValueError`` is re-raised as a :class:`StreamRunError` naming the
+    event index and its stream line.
+    """
+    for idx, ev in enumerate(events):
+        try:
+            if ev.kind == "insert":
+                insert(ev.u, ev.v)
+            elif ev.kind == "delete":
+                delete(ev.u, ev.v)
+            else:
+                query(idx)
+        except ValueError as exc:
+            raise StreamRunError(f"event {idx} (line {ev.line}): {exc}") from exc
+
+
+def _structure(header: StreamHeader, eps: float, config: RunConfig):
+    """The dynamic structure for the stream's mode, as the callables a replay
+    needs: ``(insert, delete, query, engines, counters)``.  ``query()``
+    returns the estimate and the mode's own record fields."""
+    if header.mode == "ddsg":
+        grid = DirectedDensest(header.n, eps, GridParams(
+            alpha_c=config.alpha_c, loop_c=config.loop_c,
+            dup_c=config.dup_c, threshold_c=config.threshold_c,
+        ))
+
+        def query_grid():
+            res = grid.query()
+            return res.density_estimate, {
+                "sources": sorted(res.sources),
+                "sinks": sorted(res.sinks),
+                "winning_t": res.winning_t,
+                "regime": res.regime,
+            }
+
+        return (grid.insert_directed, grid.delete_directed, query_grid,
+                list(grid.engines()), grid.combined_stats)
+
+    weights = header.weight_list()
+    dup = duplication_factor(header.n * max(weights), eps, config.dup_c)
+    engine = OrientationEngine(
+        EngineConfig(n=header.n, epsilon=eps, alpha_c=config.alpha_c,
+                     loop_c=config.loop_c, duplication=dup),
+        weights,
+    )
+
+    def query_engine():
+        res = extract(engine, eps)
+        return res.certified_density, {
+            "vertices": sorted(res.vertices),
+            "estimate_upper": res.estimate_upper,
+            "prefix_level": res.prefix_level,
+        }
+
+    return (lambda u, v: engine.insert(u, v, dup), lambda u, v: engine.delete(u, v, dup),
+            query_engine, [engine], lambda: dict(engine.stats))
+
+
+def _oracle(header: StreamHeader, command: str):
+    """Exact mirror of the stream's graph and its solver, at desk scale only.
+
+    Returns the :class:`oracle.SmallGraph` to apply updates to, and a
+    function giving its optimum and the mode's witness fields.
+    """
+    directed = header.mode == "ddsg"
+    cap = oracle.DIRECTED_CAP if directed else oracle.UNDIRECTED_CAP
+    if header.n > cap:
+        raise ValueError(f"{command} needs n <= {cap} in {header.mode} mode, got {header.n}")
+    if directed:
+        mirror = oracle.SmallGraph(n=header.n, directed=True)
+
+        def solve():
+            opt, s, t = oracle.exact_ddsg(mirror)
+            return opt, {"sources": sorted(s), "sinks": sorted(t)}
+    else:
+        weights = [Fraction(w).limit_denominator(10**6) for w in header.weight_list()]
+        mirror = oracle.SmallGraph(n=header.n, directed=False, weights=weights)
+
+        def solve():
+            opt, witness = oracle.exact_vwdsg(mirror)
+            return opt, {"vertices": sorted(witness)}
+
+    return mirror, solve
+
+
+def _timed(fn, timings: dict[str, float], key: str):
+    def call(*args):
+        t0 = time.perf_counter()
+        fn(*args)
+        timings[key] += time.perf_counter() - t0
+
+    return call
 
 
 def run(header: StreamHeader, events: list[UpdateEvent], config: RunConfig = RunConfig()) -> RunReport:
@@ -203,78 +274,22 @@ def run(header: StreamHeader, events: list[UpdateEvent], config: RunConfig = Run
     timings = {"build": 0.0, "updates": 0.0, "queries": 0.0}
 
     start = time.perf_counter()
-    if header.mode == "ddsg":
-        grid = DirectedDensest(header.n, eps, config.grid_params())
-        target = grid
-    else:
-        weights = header.weight_list()
-        dup = duplication_factor(header.n * max(weights), eps, config.dup_c)
-        engine = OrientationEngine(
-            EngineConfig(
-                n=header.n,
-                epsilon=eps,
-                alpha_c=config.alpha_c,
-                loop_c=config.loop_c,
-                threshold=INF,
-                duplication=dup,
-            ),
-            weights,
-        )
-        target = engine
+    insert, delete, query, _, counters = _structure(header, eps, config)
     timings["build"] = time.perf_counter() - start
 
-    for idx, ev in enumerate(events):
-        t0 = time.perf_counter()
-        try:
-            if ev.kind == "insert":
-                if header.mode == "ddsg":
-                    grid.insert_directed(ev.u, ev.v)
-                else:
-                    engine.insert(ev.u, ev.v, engine.config.duplication)
-            elif ev.kind == "delete":
-                if header.mode == "ddsg":
-                    grid.delete_directed(ev.u, ev.v)
-                else:
-                    engine.delete(ev.u, ev.v, engine.config.duplication)
-            else:
-                if header.mode == "ddsg":
-                    res = grid.query()
-                    queries.append(
-                        {
-                            "type": "query",
-                            "index": idx,
-                            "estimate": res.density_estimate,
-                            "sources": sorted(res.sources),
-                            "sinks": sorted(res.sinks),
-                            "winning_t": res.winning_t,
-                            "regime": res.regime,
-                        }
-                    )
-                else:
-                    res = extract(engine, eps)
-                    queries.append(
-                        {
-                            "type": "query",
-                            "index": idx,
-                            "estimate": res.certified_density,
-                            "vertices": sorted(res.vertices),
-                            "estimate_upper": res.estimate_upper,
-                            "prefix_level": res.prefix_level,
-                        }
-                    )
-        except ValueError as exc:
-            raise StreamRunError(f"event {idx} (line {ev.line}): {exc}") from exc
-        dt = time.perf_counter() - t0
-        timings["queries" if ev.kind == "query" else "updates"] += dt
+    def record(idx):
+        estimate, fields = query()
+        queries.append({"type": "query", "index": idx, "estimate": estimate, **fields})
 
-    counters = grid.combined_stats() if header.mode == "ddsg" else dict(engine.stats)
+    _replay(events, _timed(insert, timings, "updates"), _timed(delete, timings, "updates"),
+            _timed(record, timings, "queries"))
     return RunReport(
         mode=header.mode,
         queries=queries,
-        counters=counters,
+        counters=counters(),
         events=len(events),
         timings=timings,
-        config=_config_echo(header, config, eps),
+        config={"n": header.n, "mode": header.mode, **asdict(config), "eps": eps},
     )
 
 
@@ -304,10 +319,6 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _weights_to_fractions(weights: list[float]) -> list[Fraction]:
-    return [Fraction(w).limit_denominator(10**6) for w in weights]
-
-
 def verify(header: StreamHeader, events: list[UpdateEvent], config: RunConfig = RunConfig()) -> VerifyReport:
     """Replay with a brute-force oracle cross-check at every query.
 
@@ -316,75 +327,33 @@ def verify(header: StreamHeader, events: list[UpdateEvent], config: RunConfig = 
     local-optimality checkers on every instance at every query point.
     """
     eps = config.eps if config.eps is not None else header.epsilon
-    cap = oracle.DIRECTED_CAP if header.mode == "ddsg" else oracle.UNDIRECTED_CAP
-    if header.n > cap:
-        raise ValueError(f"verify needs n <= {cap} in {header.mode} mode, got {header.n}")
-
-    if header.mode == "ddsg":
-        grid = DirectedDensest(header.n, eps, config.grid_params())
-        engines = lambda: grid.engines()
-        mirror = oracle.SmallGraph(n=header.n, directed=True)
-    else:
-        weights = header.weight_list()
-        dup = duplication_factor(header.n * max(weights), eps, config.dup_c)
-        engine = OrientationEngine(
-            EngineConfig(n=header.n, epsilon=eps, alpha_c=config.alpha_c,
-                         loop_c=config.loop_c, duplication=dup),
-            weights,
-        )
-        engines = lambda: [engine]
-        mirror = oracle.SmallGraph(
-            n=header.n, directed=False, weights=_weights_to_fractions(weights)
-        )
-
+    mirror, solve = _oracle(header, "verify")
+    insert, delete, query, engines, counters = _structure(header, eps, config)
     queries: list[dict] = []
-    worst_ratio = math.inf
-    violations = 0
-    for idx, ev in enumerate(events):
-        try:
-            if ev.kind == "insert":
-                mirror.add_edge(ev.u, ev.v)
-                if header.mode == "ddsg":
-                    grid.insert_directed(ev.u, ev.v)
-                else:
-                    engine.insert(ev.u, ev.v, engine.config.duplication)
-                continue
-            if ev.kind == "delete":
-                mirror.remove_edge(ev.u, ev.v)
-                if header.mode == "ddsg":
-                    grid.delete_directed(ev.u, ev.v)
-                else:
-                    engine.delete(ev.u, ev.v, engine.config.duplication)
-                continue
-        except ValueError as exc:
-            raise StreamRunError(f"event {idx} (line {ev.line}): {exc}") from exc
 
-        # query event: engine answer vs exhaustive optimum
-        if header.mode == "ddsg":
-            res = grid.query()
-            estimate = res.density_estimate
-            opt, _, _ = oracle.exact_ddsg(mirror)
-        else:
-            res = extract(engine, eps)
-            estimate = res.certified_density
-            opt = float(oracle.exact_vwdsg_density(mirror))
+    def apply_insert(u, v):
+        mirror.add_edge(u, v)
+        insert(u, v)
+
+    def apply_delete(u, v):
+        mirror.remove_edge(u, v)
+        delete(u, v)
+
+    def check(idx):
+        estimate, _ = query()
+        opt, _ = solve()
         sound = estimate <= opt + 1e-9
         ratio = 1.0 if opt == 0 and estimate == 0 else (estimate / opt if opt > 0 else 0.0)
-        worst_ratio = min(worst_ratio, ratio)
-
         bad_arcs = 0
         local_ok = True
-        for eng in engines():
-            bad = eng.verify_local_optimality()
-            bad_arcs += len(bad)
+        for eng in engines:
+            bad_arcs += len(eng.verify_local_optimality())
             a = eng.alpha
             alpha_eff = (1.0 + a) ** 8 - 1.0
             beta_eff = alpha_eff / a
             loads, arcs = eng.snapshot()
             if not oracle.check_alpha_beta_optimality(loads, arcs, alpha_eff, beta_eff):
                 local_ok = False
-        if not sound or bad_arcs or not local_ok:
-            violations += 1
         queries.append(
             {
                 "type": "verify-query",
@@ -398,62 +367,29 @@ def verify(header: StreamHeader, events: list[UpdateEvent], config: RunConfig = 
             }
         )
 
-    counters = grid.combined_stats() if header.mode == "ddsg" else dict(engine.stats)
-    if worst_ratio is math.inf:
-        worst_ratio = 1.0
+    _replay(events, apply_insert, apply_delete, check)
+    violations = sum(
+        1 for q in queries if not q["sound"] or q["bad_arcs"] or not q["locally_optimal"]
+    )
     return VerifyReport(
         ok=violations == 0,
         queries=queries,
-        worst_ratio=worst_ratio,
+        worst_ratio=min((q["ratio"] for q in queries), default=1.0),
         violations=violations,
-        counters=counters,
+        counters=counters(),
     )
 
 
 def oracle_replay(header: StreamHeader, events: list[UpdateEvent]) -> list[dict]:
     """Replay only the exact oracle; one record per query event."""
-    cap = oracle.DIRECTED_CAP if header.mode == "ddsg" else oracle.UNDIRECTED_CAP
-    if header.n > cap:
-        raise ValueError(f"oracle replay needs n <= {cap} in {header.mode} mode")
-    if header.mode == "ddsg":
-        mirror = oracle.SmallGraph(n=header.n, directed=True)
-    else:
-        mirror = oracle.SmallGraph(
-            n=header.n,
-            directed=False,
-            weights=_weights_to_fractions(header.weight_list()),
-        )
+    mirror, solve = _oracle(header, "oracle replay")
     out: list[dict] = []
-    for idx, ev in enumerate(events):
-        try:
-            if ev.kind == "insert":
-                mirror.add_edge(ev.u, ev.v)
-            elif ev.kind == "delete":
-                mirror.remove_edge(ev.u, ev.v)
-            else:
-                if header.mode == "ddsg":
-                    opt, s, t = oracle.exact_ddsg(mirror)
-                    out.append(
-                        {
-                            "type": "oracle-query",
-                            "index": idx,
-                            "optimum": opt,
-                            "sources": sorted(s),
-                            "sinks": sorted(t),
-                        }
-                    )
-                else:
-                    opt, witness = oracle.exact_vwdsg(mirror)
-                    out.append(
-                        {
-                            "type": "oracle-query",
-                            "index": idx,
-                            "optimum": opt,
-                            "vertices": sorted(witness),
-                        }
-                    )
-        except ValueError as exc:
-            raise StreamRunError(f"event {idx} (line {ev.line}): {exc}") from exc
+
+    def query(idx):
+        opt, fields = solve()
+        out.append({"type": "oracle-query", "index": idx, "optimum": opt, **fields})
+
+    _replay(events, mirror.add_edge, mirror.remove_edge, query)
     return out
 
 

@@ -54,8 +54,8 @@ def test_run_determinism_bytes(tmp_path):
     path = _write(
         tmp_path, stream.random_stream_text(5, "ddsg", 0.3, 30, seed=7, query_every=10)
     )
-    r1 = CliRunner().invoke(cli.main, ["run", "--stream", path, "--seed", "3"])
-    r2 = CliRunner().invoke(cli.main, ["run", "--stream", path, "--seed", "3"])
+    r1 = CliRunner().invoke(cli.main, ["run", "--stream", path])
+    r2 = CliRunner().invoke(cli.main, ["run", "--stream", path])
     assert r1.output == r2.output
 
 

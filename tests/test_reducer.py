@@ -5,12 +5,16 @@ from fractions import Fraction
 import pytest
 
 from densedyn import oracle
-from densedyn.reducer import (
-    DirectedDensest,
-    GridParams,
-    best_t_sanity,
-    ratio_grid,
-)
+from densedyn.reducer import DirectedDensest, GridParams, ratio_grid
+
+
+def best_t_sanity(sources, sinks) -> float:
+    """Lower bound on the directed optimum implied by an optimal pair's
+    shape: max(sqrt(|S|/|T|), sqrt(|T|/|S|))."""
+    s, t = len(set(sources)), len(set(sinks))
+    if s == 0 or t == 0:
+        raise ValueError("both sides must be nonempty")
+    return max(math.sqrt(s / t), math.sqrt(t / s))
 
 
 class TestRatioGrid:

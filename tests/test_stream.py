@@ -3,7 +3,6 @@ import json
 import pytest
 
 from densedyn.stream import (
-    RunConfig,
     StreamFormatError,
     StreamRunError,
     oracle_replay,
@@ -94,8 +93,8 @@ class TestRun:
     def test_determinism(self):
         text = random_stream_text(6, "ddsg", 0.3, 40, seed=5, query_every=10)
         header, events = parse_stream(text)
-        a = run(header, events, RunConfig(seed=1)).to_jsonl()
-        b = run(header, events, RunConfig(seed=1)).to_jsonl()
+        a = run(header, events).to_jsonl()
+        b = run(header, events).to_jsonl()
         assert a == b
 
     def test_counter_conservation(self):
@@ -165,6 +164,36 @@ class TestOracleReplay:
         records = oracle_replay(header, events)
         assert records[0]["optimum"] == pytest.approx(1.0)
         assert records[0]["vertices"] == [0, 1, 2]
+
+
+class TestEntryPointsAgree:
+    @pytest.mark.parametrize(
+        "mode, n, seed, weights",
+        [
+            ("ddsg", 5, 1, ()),
+            ("ddsg", 7, 2, ()),
+            ("vwdsg", 8, 3, ()),
+            ("vwdsg", 12, 4, ((0, 2.0), (5, 3.5), (11, 1.25))),
+        ],
+    )
+    def test_estimates_and_optima_match(self, mode, n, seed, weights):
+        head, _, body = random_stream_text(n, mode, 0.25, 40, seed=seed, query_every=8).partition("\n")
+        weight_lines = "".join(f"w {v} {w}\n" for v, w in weights)
+        header, events = parse_stream(f"{head}\n{weight_lines}{body}")
+        ran = run(header, events).queries
+        checked = verify(header, events).queries
+        exact = oracle_replay(header, events)
+        assert len(ran) == 6
+        assert [q["index"] for q in ran] == [q["index"] for q in checked] == [q["index"] for q in exact]
+        assert [q["estimate"] for q in checked] == [q["estimate"] for q in ran]
+        assert [q["optimum"] for q in checked] == [q["optimum"] for q in exact]
+
+    @pytest.mark.parametrize("mode", ["ddsg", "vwdsg"])
+    def test_bad_delete_names_same_event(self, mode):
+        header, events = parse_stream(f"h 5 {mode} 0.3\n+ 0 1\n?\n\n- 2 3\n?\n")
+        for replay in (run, verify, oracle_replay):
+            with pytest.raises(StreamRunError, match=r"^event 2 \(line 5\): "):
+                replay(header, events)
 
 
 class TestRandomStream:
