@@ -128,20 +128,6 @@ def _last_true(lo: int, hi: int, ok) -> int:
     return lo
 
 
-def _fresh_stats() -> dict[str, int]:
-    return {
-        "arcs_inc": 0,
-        "arcs_dec": 0,
-        "flips": 0,
-        "copies_moved": 0,
-        "label_resets": 0,
-        "max_chain_inc": 0,
-        "max_chain_dec": 0,
-        "inserts": 0,
-        "deletes": 0,
-    }
-
-
 class OrientationEngine:
     """Dynamic orientation of a vertex-weighted undirected multigraph."""
 
@@ -189,7 +175,11 @@ class OrientationEngine:
         self._layers: dict[int, set[int]] = {0: set(range(n))}
         self._top = 0
         self._copies = 0
-        self.stats = _fresh_stats()
+        self.stats = dict.fromkeys(
+            ("arcs_inc", "arcs_dec", "flips", "copies_moved", "label_resets",
+             "max_chain_inc", "max_chain_dec", "inserts", "deletes"),
+            0,
+        )
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -243,9 +233,6 @@ class OrientationEngine:
 
     def layer_members(self, level: int) -> set[int]:
         return self._layers.get(level, set())
-
-    def reset_stats(self) -> None:
-        self.stats = _fresh_stats()
 
     # ------------------------------------------------------------------
     # public updates
@@ -408,21 +395,6 @@ class OrientationEngine:
         loads = {v: self.thresholded_load(v) for v in range(self.config.n)}
         arcs = [(t, h, c) for t, h, c, _, _ in self.iter_arcs()]
         return loads, arcs
-
-    def arc_pair_record(self, u: int, v: int) -> dict:
-        key = (u, v) if u < v else (v, u)
-        pair = self._pairs.get(key)
-        if pair is None:
-            return {"endpoints": key, "count_uv": 0, "count_vu": 0}
-        uv = pair if pair.tail == key[0] else pair.twin
-        vu = uv.twin
-        return {
-            "endpoints": key,
-            "count_uv": uv.count,
-            "count_vu": vu.count,
-            "label_uv": uv.label if uv.count else None,
-            "label_vu": vu.label if vu.count else None,
-        }
 
     # ------------------------------------------------------------------
     # internals

@@ -7,6 +7,16 @@ of every arc entering the narrow prefix, which is what makes its density
 competitive.  Among all usable cuts we return the one whose exactly
 recomputed density is largest.
 
+The scan is output-sensitive: it stops as soon as no deeper prefix can beat
+the best cut found so far.  Every copy inside a set points into one of its
+vertices, so a set's density is at most its total in-degree over
+``dup * weight``.  Bands are in load order (capped vertices sit only in the
+top band), so each band added to the prefix has lower loads than every
+vertex already in it, and that average never rises as the prefix deepens.
+Once it drops below the best density (less a ``1e-9`` relative slack for
+float rounding), every later cut loses the strict comparison, so the answer
+is exactly the full scan's.
+
 Densities are reported per logical edge: stored copy counts are divided back
 by the instance's duplication factor.
 """
@@ -49,25 +59,6 @@ def extract(engine: OrientationEngine, epsilon: float) -> ExtractionResult:
         return ExtractionResult(frozenset(), 0.0, upper, 0, valid)
 
     levels = engine.layer_levels_desc()
-    members = [sorted(engine.layer_members(lv)) for lv in levels]
-
-    # Cumulative weight and internal copy count of each band prefix; weights
-    # summed per vertex so the certified density is free of accumulation dust
-    cum_w: list[float] = []
-    cum_copies: list[int] = []
-    inside: set[int] = set()
-    copies = 0
-    wsum = 0.0
-    for verts in members:
-        for v in verts:
-            for nb in engine.neighbors(v):
-                if nb in inside:
-                    copies += engine.pair_copies(v, nb)
-            inside.add(v)
-            wsum += engine.weight(v)
-        cum_w.append(wsum)
-        cum_copies.append(copies)
-
     neg = [-lv for lv in levels]  # ascending, for prefix lookups
 
     def prefix_index(cut: int) -> int:
@@ -81,12 +72,37 @@ def extract(engine: OrientationEngine, epsilon: float) -> ExtractionResult:
         reverse=True,
     )
 
+    # Sorted members, cumulative weight and internal copy count of each band
+    # prefix scanned so far; weights summed per vertex so the certified
+    # density is free of accumulation dust
+    members: list[list[int]] = []
+    cum_w: list[float] = []
+    cum_copies: list[int] = []
+    inside: set[int] = set()
+    copies = 0
+    wsum = 0.0
+    indeg = 0  # total in-degree of the scanned prefix
+
     best = None  # (density, extended index, cut)
     for cut in cuts:
         narrow = prefix_index(cut)
         if narrow < 0:
             continue
+        if best is not None and indeg / (dup * wsum) < best[0] * (1.0 - 1e-9):
+            break  # no prefix containing the scanned one can win
         wide = prefix_index(max(cut - GAP_BANDS, 0))
+        while len(members) <= wide:
+            verts = sorted(engine.layer_members(levels[len(members)]))
+            for v in verts:
+                for nb in engine.neighbors(v):
+                    if nb in inside:
+                        copies += engine.pair_copies(v, nb)
+                inside.add(v)
+                wsum += engine.weight(v)
+                indeg += engine.indeg(v)
+            members.append(verts)
+            cum_w.append(wsum)
+            cum_copies.append(copies)
         if cum_w[wide] > grow_cap * cum_w[narrow] * (1.0 + 1e-12):
             continue
         density = cum_copies[wide] / (dup * cum_w[wide])

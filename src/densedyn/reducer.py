@@ -196,24 +196,39 @@ class DirectedDensest:
         whose extraction lands entirely on one side carries no directed edge
         and is skipped.  The reported density is recomputed from the true
         directed edge multiset, so it can only undershoot the optimum.
+
+        Guesses are visited by descending bound ``max_load / dup * scale``,
+        ties in grid order, and the visit stops once a bound falls below the
+        best candidate (less a ``1e-9`` relative slack for float rounding).
+        This is exact: an active low engine is unsaturated, so none of its
+        loads is capped and no extraction can beat its engine's peak load.
+        Equal candidates go to the earlier guess, as in a grid-order scan.
         """
         if not self._mirror:
             return _EMPTY_RESULT
         n = self.n
-        best = None  # (denormalized density, entry, regime, sources, sinks)
-        for entry in self.entries:
+        order = []  # (-bound, grid index, engine, regime)
+        for i, entry in enumerate(self.entries):
             engine, regime = entry.active()
+            bound = engine.max_load() / engine.config.duplication * entry.scale
+            order.append((-bound, i, engine, regime))
+        order.sort(key=lambda o: o[:2])
+        best = None  # (denormalized density, index, entry, regime, sources, sinks)
+        for neg_bound, i, engine, regime in order:
+            if best is not None and -neg_bound < best[0] * (1.0 - 1e-9):
+                break
+            entry = self.entries[i]
             res = extract(engine, self.epsilon)
             sources = {v for v in res.vertices if v < n}
             sinks = {v - n for v in res.vertices if v >= n}
             if not sources or not sinks:
                 continue
             cand = res.certified_density * entry.scale
-            if best is None or cand > best[0]:
-                best = (cand, entry, regime, sources, sinks)
+            if best is None or (cand, -i) > (best[0], -best[1]):
+                best = (cand, i, entry, regime, sources, sinks)
         if best is None:
             return _EMPTY_RESULT
-        _, entry, regime, sources, sinks = best
+        _, _, entry, regime, sources, sinks = best
         edges = sum(
             mult
             for (u, v), mult in self._mirror.items()

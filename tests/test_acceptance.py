@@ -292,11 +292,11 @@ def test_c5_amortized_scaling():
             engine.insert(u, v)
             live.append((u, v))
         insert_cost[m] = engine.stats["arcs_inc"] / m
-        engine.reset_stats()
+        arcs_dec = engine.stats["arcs_dec"]
         rng.shuffle(live)
         for u, v in live:
             engine.delete(u, v)
-        delete_cost[m] = engine.stats["arcs_dec"] / m
+        delete_cost[m] = (engine.stats["arcs_dec"] - arcs_dec) / m
         _register(engine, f"c5 m={m}")
     base_ins = insert_cost[10_000]
     base_del = delete_cost[10_000]

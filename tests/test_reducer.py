@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from densedyn import oracle
-from densedyn.reducer import DirectedDensest, GridParams, ratio_grid
+from densedyn.extract import extract
+from densedyn.reducer import DirectedDensest, DirectedQueryResult, GridParams, ratio_grid
 
 
 def best_t_sanity(sources, sinks) -> float:
@@ -15,6 +16,43 @@ def best_t_sanity(sources, sinks) -> float:
     if s == 0 or t == 0:
         raise ValueError("both sides must be nonempty")
     return max(math.sqrt(s / t), math.sqrt(t / s))
+
+
+EMPTY = DirectedQueryResult(0.0, frozenset(), frozenset(), 0.0, "low")
+
+
+def reference_query(g: DirectedDensest) -> DirectedQueryResult:
+    """Grid-order scan that extracts from every entry's active engine; the
+    bound-ordered ``query`` must return exactly this."""
+    if not g.directed_edges():
+        return EMPTY
+    n = g.n
+    best = None
+    for entry in g.entries:
+        engine, regime = entry.active()
+        res = extract(engine, g.epsilon)
+        sources = {v for v in res.vertices if v < n}
+        sinks = {v - n for v in res.vertices if v >= n}
+        if not sources or not sinks:
+            continue
+        cand = res.certified_density * entry.scale
+        if best is None or cand > best[0]:
+            best = (cand, entry, regime, sources, sinks)
+    if best is None:
+        return EMPTY
+    _, entry, regime, sources, sinks = best
+    edges = sum(
+        mult
+        for (u, v), mult in g.directed_edges().items()
+        if u in sources and v in sinks
+    )
+    return DirectedQueryResult(
+        edges / math.sqrt(len(sources) * len(sinks)),
+        frozenset(sources),
+        frozenset(sinks),
+        entry.t,
+        regime,
+    )
 
 
 class TestRatioGrid:
@@ -177,6 +215,50 @@ class TestQuery:
                 assert q.density_estimate <= opt + 1e-9
                 if opt > 0:
                     assert q.density_estimate >= (1 - 3 * 0.25) * opt - 1e-9
+
+
+class TestBoundOrder:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_grid_scan(self, seed):
+        # odd seeds use a small cap and duplication on a hot 6-vertex core,
+        # so low engines saturate and hand over to their high engines
+        rng = random.Random(seed)
+        if seed % 2:
+            n, eps, hot = 8, 0.5, 6
+            params = GridParams(dup_c=1.0, threshold_c=0.3)
+        else:
+            n, eps = rng.randint(3, 8), rng.choice([0.3, 0.5])
+            hot, params = n, GridParams()
+        g = DirectedDensest(n, eps, params)
+        live = []
+        saturated = False
+        for _ in range(50):
+            if live and rng.random() < 0.3:
+                g.delete_directed(*live.pop(rng.randrange(len(live))))
+            else:
+                live.append(tuple(rng.sample(range(hot), 2)))
+                g.insert_directed(*live[-1])
+            assert g.query() == reference_query(g)
+            saturated |= any(entry.low.saturated() for entry in g.entries)
+        if seed % 2:
+            assert saturated
+
+    def test_tie_goes_to_the_earlier_guess(self):
+        # the first two guesses give the same best candidate, and the second
+        # has the higher bound, so it is extracted first
+        g = DirectedDensest(3, 0.5)
+        for u, v in [(0, 2), (0, 1), (0, 2), (2, 0), (0, 2), (0, 1), (2, 0)]:
+            g.insert_directed(u, v)
+        cands, bounds = [], []
+        for entry in g.entries:
+            engine, _ = entry.active()
+            cands.append(extract(engine, 0.5).certified_density * entry.scale)
+            bounds.append(engine.max_load() / engine.config.duplication * entry.scale)
+        assert cands[0] == cands[1] == max(cands)
+        assert bounds[1] > bounds[0]
+        q = g.query()
+        assert q == reference_query(g)
+        assert q.winning_t == g.entries[0].t
 
 
 class TestRegimeSwitch:
