@@ -12,7 +12,7 @@ from .engine import (
     duplication_factor,
     threshold_value,
 )
-from .extract import ExtractionResult, extract, induced_density
+from .extract import ExtractionResult, extract
 from .levels import LevelParams, build_level_params
 from .reducer import (
     DirectedDensest,
@@ -33,7 +33,6 @@ __all__ = [
     "build_level_params",
     "duplication_factor",
     "extract",
-    "induced_density",
     "ratio_grid",
     "threshold_value",
 ]

@@ -1,5 +1,6 @@
 """Command line front end: replay, verify, bench, and oracle modes.
 
+The tuning constants are fixed in :mod:`densedyn.engine`; no flag sets them.
 Every flag can also be set through an environment variable with the
 ``DENSEDYN_`` prefix (for example ``DENSEDYN_RUN_STREAM``).
 
@@ -14,7 +15,6 @@ import sys
 import click
 
 from .stream import (
-    RunConfig,
     StreamFormatError,
     StreamRunError,
     oracle_replay,
@@ -30,20 +30,6 @@ CONTEXT = {"auto_envvar_prefix": "DENSEDYN", "help_option_names": ["-h", "--help
 _stream = click.option("--stream", required=True, help="Stream file, or '-' for stdin.")
 _out = click.option("--out", type=click.Path(dir_okay=False, writable=True),
                     default=None, help="Write the report here instead of stdout.")
-
-
-def _tuning(fn):
-    """The tuning constants, named as the :class:`RunConfig` fields, and ``--out``."""
-    fn = _out(fn)
-    fn = click.option("--threshold-c", type=float, default=4.0, show_default=True,
-                      help="Load-cap constant for low-density instances.")(fn)
-    fn = click.option("--dup-c", type=float, default=4.0, show_default=True,
-                      help="Edge duplication constant.")(fn)
-    fn = click.option("--loop-c", type=int, default=4, show_default=True,
-                      help="Arc-scan budget constant per rebalance call.")(fn)
-    fn = click.option("--alpha-c", type=float, default=0.25, show_default=True,
-                      help="Constant in the band-width derivation.")(fn)
-    return fn
 
 
 _eps_override = click.option("--eps", type=float, default=None, help="Override header epsilon.")
@@ -82,12 +68,12 @@ def main() -> None:
 @click.option("--timings/--no-timings", default=False, show_default=True,
               help="Include wall-clock phases in the summary (non-deterministic).")
 @_eps_override
-@_tuning
-def run_cmd(stream, timings, eps, out, **tuning):
+@_out
+def run_cmd(stream, timings, eps, out):
     """Replay a stream and emit one JSON line per query plus a summary."""
     try:
         header, events = parse_stream(_read_stream(stream))
-        report = run(header, events, RunConfig(eps=eps, **tuning))
+        report = run(header, events, eps)
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
     _emit(report.to_jsonl(include_timings=timings), out)
@@ -96,12 +82,12 @@ def run_cmd(stream, timings, eps, out, **tuning):
 @main.command("verify")
 @_stream
 @_eps_override
-@_tuning
-def verify_cmd(stream, eps, out, **tuning):
+@_out
+def verify_cmd(stream, eps, out):
     """Replay with brute-force cross-checks; exit 2 on any violation."""
     try:
         header, events = parse_stream(_read_stream(stream))
-        report = verify(header, events, RunConfig(eps=eps, **tuning))
+        report = verify(header, events, eps)
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
     _emit(report.to_jsonl(), out)
@@ -120,13 +106,13 @@ def verify_cmd(stream, eps, out, **tuning):
               help="Epsilon written into the generated stream header.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed of the generated stream.")
-@_tuning
-def bench_cmd(n, events, mode, query_every, timings, eps, seed, out, **tuning):
+@_out
+def bench_cmd(n, events, mode, query_every, timings, eps, seed, out):
     """Generate a seeded random stream, replay it, and report counters."""
     try:
         text = random_stream_text(n, mode, eps, events, seed, query_every)
         header, evs = parse_stream(text)
-        report = run(header, evs, RunConfig(**tuning))
+        report = run(header, evs)
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
     report.config["seed"] = seed

@@ -15,6 +15,10 @@ it takes to even out its two endpoints.  The work per update therefore does
 not grow with the number of copies.  A layer index (vertices bucketed by
 load band) supports peak-load queries and prefix extraction.
 
+The analysis fixes four tuning constants, and this module is their only
+home: ``ALPHA_C`` (band width), ``LOOP_C`` (arc-scan budget), ``DUP_C`` (edge
+duplication) and ``THRESHOLD_C`` (load cap of a low-density instance).
+
 Instances are single-threaded; distinct instances share nothing.
 """
 
@@ -31,6 +35,14 @@ INF = math.inf
 DEFAULT_CAPACITY = 2**32
 # Weight of the log term in a thresholded instance's saturation trigger.
 SATURATION_C = 1.0
+# Scales the band width alpha, which is ALPHA_C * eps^2 / log2(n * W).
+ALPHA_C = 0.25
+# Scales the arc-scan budget per rebalanced vertex, ceil(LOOP_C / alpha).
+LOOP_C = 4
+# Scales the edge duplication, DUP_C * log2(scale) / eps^2.
+DUP_C = 4.0
+# Scales the low-density load cap, THRESHOLD_C * log2(scale)^2 / eps^4.
+THRESHOLD_C = 4.0
 
 
 def log_scale(x: float) -> float:
@@ -38,13 +50,13 @@ def log_scale(x: float) -> float:
     return math.log2(max(2.0, x))
 
 
-def duplication_factor(scale: float, eps: float, c: float = 4.0) -> int:
+def duplication_factor(scale: float, eps: float, c: float = DUP_C) -> int:
     """How many copies of each edge inflate the optimum enough that the
     additive error of the orientation becomes a relative eps-factor."""
     return max(1, math.ceil(c * log_scale(scale) / (eps * eps)))
 
 
-def threshold_value(scale: float, eps: float, c: float = 4.0) -> float:
+def threshold_value(scale: float, eps: float, c: float = THRESHOLD_C) -> float:
     """Load cap for a low-density instance."""
     return c * log_scale(scale) ** 2 / eps**4
 
@@ -53,17 +65,12 @@ def threshold_value(scale: float, eps: float, c: float = 4.0) -> float:
 class EngineConfig:
     """Parameters of one orientation instance.
 
-    ``alpha`` is normally derived as ``alpha_c * eps^2 / log2(n * W)``; the
-    explicit override exists for tests and benchmarks that need coarse bands.
     ``duplication`` is bookkeeping only: the engine never multiplies inserts
     itself, but extraction divides densities back by it.
     """
 
     n: int
     epsilon: float
-    alpha: float | None = None
-    alpha_c: float = 0.25
-    loop_c: int = 4
     threshold: float = INF
     duplication: int = 1
     capacity: int = DEFAULT_CAPACITY
@@ -73,10 +80,6 @@ class EngineConfig:
             raise ValueError("n must be at least 1")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha override must be in (0, 1], got {self.alpha}")
-        if self.loop_c < 1:
-            raise ValueError("loop_c must be a positive integer")
         if self.duplication < 1:
             raise ValueError("duplication must be a positive integer")
         if self.capacity < 1:
@@ -139,6 +142,8 @@ class OrientationEngine:
             raise ValueError("weights length must match n")
         w = [float(x) for x in weights]
         for v, x in enumerate(w):
+            if not math.isfinite(x):
+                raise ValueError(f"weight of vertex {v} is {x}; weights must be finite")
             if x < 1.0 - BOUNDARY_TOL:
                 raise ValueError(f"weight of vertex {v} is {x}; normalize to >= 1")
         self.config = config
@@ -147,11 +152,8 @@ class OrientationEngine:
         self.max_weight = max_w
 
         eps = config.epsilon
-        if config.alpha is not None:
-            self.alpha = config.alpha
-        else:
-            self.alpha = config.alpha_c * eps * eps / log_scale(n * max_w)
-        self.budget = math.ceil(config.loop_c / self.alpha)
+        self.alpha = ALPHA_C * eps * eps / log_scale(n * max_w)
+        self.budget = math.ceil(LOOP_C / self.alpha)
         self.threshold = config.threshold
         max_value = config.capacity if self.threshold == INF else self.threshold
         self.params: LevelParams = build_level_params(self.alpha, max_value)

@@ -120,21 +120,3 @@ def extract(engine: OrientationEngine, epsilon: float) -> ExtractionResult:
         prefix_level=max(cut - GAP_BANDS, 0),
         valid=valid,
     )
-
-
-def induced_density(engine: OrientationEngine, vertices) -> float:
-    """Exact logical density of ``vertices``: stored copies inside the set
-    divided by duplication, over total vertex weight."""
-    vs = set(vertices)
-    if not vs:
-        raise ValueError("induced_density of an empty set is undefined")
-    for v in vs:
-        if not 0 <= v < engine.n:
-            raise ValueError(f"vertex {v} out of range")
-    copies = 0
-    for v in vs:
-        for nb in engine.neighbors(v):
-            if nb > v and nb in vs:
-                copies += engine.pair_copies(v, nb)
-    weight = sum(engine.weight(v) for v in vs)
-    return copies / (engine.config.duplication * weight)

@@ -16,11 +16,13 @@ densities of concrete vertex sets, so they never overshoot the optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import (
     DEFAULT_CAPACITY,
+    DUP_C,
     INF,
+    THRESHOLD_C,
     EngineConfig,
     OrientationEngine,
     duplication_factor,
@@ -53,12 +55,12 @@ def ratio_grid(n: int, eps: float) -> list[float]:
 
 @dataclass(frozen=True)
 class GridParams:
-    """Tuning constants shared by all instances of one grid."""
+    """Duplication, load cap and edge capacity shared by all instances of one
+    grid.  Smaller ``dup_c``/``threshold_c`` than the engine defaults let
+    desk-scale graphs reach the load cap."""
 
-    alpha_c: float = 0.25
-    loop_c: int = 4
-    dup_c: float = 4.0
-    threshold_c: float = 4.0
+    dup_c: float = DUP_C
+    threshold_c: float = THRESHOLD_C
     capacity: int = DEFAULT_CAPACITY
 
 
@@ -104,6 +106,9 @@ class DirectedDensest:
         self.params = params
         self.dup = duplication_factor(n, epsilon, params.dup_c)
         self.cap = threshold_value(n, epsilon, params.threshold_c)
+        low_config = EngineConfig(n=2 * n, epsilon=epsilon, threshold=self.cap,
+                                  duplication=self.dup, capacity=params.capacity)
+        high_config = replace(low_config, threshold=INF, duplication=1)
         self.entries: list[GridEntry] = []
         for t in ratio_grid(n, epsilon):
             if t < 1.0:
@@ -114,38 +119,15 @@ class DirectedDensest:
                 w_left = w_right = 1.0
             weights = [w_left] * n + [w_right] * n
             scale = max(2.0 * t, 2.0 / t)
-            low = OrientationEngine(
-                EngineConfig(
-                    n=2 * n,
-                    epsilon=epsilon,
-                    alpha_c=params.alpha_c,
-                    loop_c=params.loop_c,
-                    threshold=self.cap,
-                    duplication=self.dup,
-                    capacity=params.capacity,
-                ),
-                weights,
-            )
-            high = OrientationEngine(
-                EngineConfig(
-                    n=2 * n,
-                    epsilon=epsilon,
-                    alpha_c=params.alpha_c,
-                    loop_c=params.loop_c,
-                    threshold=INF,
-                    duplication=1,
-                    capacity=params.capacity,
-                ),
-                weights,
-            )
-            self.entries.append(GridEntry(t=t, scale=scale, low=low, high=high))
+            self.entries.append(GridEntry(
+                t=t,
+                scale=scale,
+                low=OrientationEngine(low_config, weights),
+                high=OrientationEngine(high_config, weights),
+            ))
         self._mirror: dict[tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
-
-    @property
-    def edge_count(self) -> int:
-        return sum(self._mirror.values())
 
     def directed_edges(self) -> dict[tuple[int, int], int]:
         return dict(self._mirror)

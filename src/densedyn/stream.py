@@ -17,15 +17,24 @@ event loop, ``_replay``.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import oracle
-from .engine import EngineConfig, OrientationEngine, duplication_factor
+from .engine import (
+    ALPHA_C,
+    DUP_C,
+    LOOP_C,
+    THRESHOLD_C,
+    EngineConfig,
+    OrientationEngine,
+    duplication_factor,
+)
 from .extract import extract
-from .reducer import DirectedDensest, GridParams
+from .reducer import DirectedDensest
 
 
 class StreamFormatError(ValueError):
@@ -105,6 +114,8 @@ def parse_stream(text: str) -> tuple[StreamHeader, list[UpdateEvent]]:
                 raise StreamFormatError(lineno, "weight fields must be numeric") from None
             if not 0 <= v < n:
                 raise StreamFormatError(lineno, f"vertex {v} out of range")
+            if not math.isfinite(wt):
+                raise StreamFormatError(lineno, f"weight {wt} must be finite")
             if wt < 1.0:
                 raise StreamFormatError(lineno, f"weight {wt} must be >= 1")
             weights[v] = wt
@@ -133,17 +144,6 @@ def parse_stream(text: str) -> tuple[StreamHeader, list[UpdateEvent]]:
         raise StreamFormatError(0, "empty stream: missing header")
     n, mode, eps = header
     return StreamHeader(n=n, mode=mode, epsilon=eps, weights=weights), events
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Replay knobs; mirrors the CLI flags."""
-
-    eps: float | None = None  # overrides the header epsilon
-    alpha_c: float = 0.25
-    loop_c: int = 4
-    dup_c: float = 4.0
-    threshold_c: float = 4.0
 
 
 @dataclass
@@ -189,15 +189,12 @@ def _replay(events: list[UpdateEvent], insert, delete, query) -> None:
             raise StreamRunError(f"event {idx} (line {ev.line}): {exc}") from exc
 
 
-def _structure(header: StreamHeader, eps: float, config: RunConfig):
+def _structure(header: StreamHeader, eps: float):
     """The dynamic structure for the stream's mode, as the callables a replay
     needs: ``(insert, delete, query, engines, counters)``.  ``query()``
     returns the estimate and the mode's own record fields."""
     if header.mode == "ddsg":
-        grid = DirectedDensest(header.n, eps, GridParams(
-            alpha_c=config.alpha_c, loop_c=config.loop_c,
-            dup_c=config.dup_c, threshold_c=config.threshold_c,
-        ))
+        grid = DirectedDensest(header.n, eps)
 
         def query_grid():
             res = grid.query()
@@ -212,12 +209,8 @@ def _structure(header: StreamHeader, eps: float, config: RunConfig):
                 list(grid.engines()), grid.combined_stats)
 
     weights = header.weight_list()
-    dup = duplication_factor(header.n * max(weights), eps, config.dup_c)
-    engine = OrientationEngine(
-        EngineConfig(n=header.n, epsilon=eps, alpha_c=config.alpha_c,
-                     loop_c=config.loop_c, duplication=dup),
-        weights,
-    )
+    dup = duplication_factor(header.n * max(weights), eps)
+    engine = OrientationEngine(EngineConfig(n=header.n, epsilon=eps, duplication=dup), weights)
 
     def query_engine():
         res = extract(engine, eps)
@@ -267,14 +260,19 @@ def _timed(fn, timings: dict[str, float], key: str):
     return call
 
 
-def run(header: StreamHeader, events: list[UpdateEvent], config: RunConfig = RunConfig()) -> RunReport:
-    """Replay events against a fresh structure; collect per-query records."""
-    eps = config.eps if config.eps is not None else header.epsilon
+def run(header: StreamHeader, events: list[UpdateEvent], eps: float | None = None) -> RunReport:
+    """Replay events against a fresh structure; collect per-query records.
+
+    ``eps``, when given, overrides the header epsilon.  The summary's
+    ``config`` echoes it along with the engine's tuning constants.
+    """
+    if eps is None:
+        eps = header.epsilon
     queries: list[dict] = []
     timings = {"build": 0.0, "updates": 0.0, "queries": 0.0}
 
     start = time.perf_counter()
-    insert, delete, query, _, counters = _structure(header, eps, config)
+    insert, delete, query, _, counters = _structure(header, eps)
     timings["build"] = time.perf_counter() - start
 
     def record(idx):
@@ -289,7 +287,8 @@ def run(header: StreamHeader, events: list[UpdateEvent], config: RunConfig = Run
         counters=counters(),
         events=len(events),
         timings=timings,
-        config={"n": header.n, "mode": header.mode, **asdict(config), "eps": eps},
+        config={"n": header.n, "mode": header.mode, "eps": eps, "alpha_c": ALPHA_C,
+                "loop_c": LOOP_C, "dup_c": DUP_C, "threshold_c": THRESHOLD_C},
     )
 
 
@@ -319,16 +318,18 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def verify(header: StreamHeader, events: list[UpdateEvent], config: RunConfig = RunConfig()) -> VerifyReport:
+def verify(header: StreamHeader, events: list[UpdateEvent], eps: float | None = None) -> VerifyReport:
     """Replay with a brute-force oracle cross-check at every query.
 
     Requires desk-scale n.  Reports the worst estimate/optimum ratio, flags
     any estimate exceeding the optimum, and runs the band-inequality and
     local-optimality checkers on every instance at every query point.
+    ``eps``, when given, overrides the header epsilon.
     """
-    eps = config.eps if config.eps is not None else header.epsilon
+    if eps is None:
+        eps = header.epsilon
     mirror, solve = _oracle(header, "verify")
-    insert, delete, query, engines, counters = _structure(header, eps, config)
+    insert, delete, query, engines, counters = _structure(header, eps)
     queries: list[dict] = []
 
     def apply_insert(u, v):

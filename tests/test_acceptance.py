@@ -15,7 +15,9 @@ import pytest
 
 from densedyn import oracle
 from densedyn.engine import (
+    ALPHA_C,
     INF,
+    LOOP_C,
     EngineConfig,
     OrientationEngine,
     duplication_factor,
@@ -68,7 +70,7 @@ def _mixed_update_run(eps: float, thresholded: bool, events: int, seed: int) -> 
     rng = random.Random(seed)
     weights = [1.0 + rng.randrange(0, 13) / 4.0 for _ in range(n)]  # [1, 4]
     w_max = max(weights)
-    threshold = threshold_value(n * w_max, eps, 4.0) if thresholded else INF
+    threshold = threshold_value(n * w_max, eps) if thresholded else INF
     engine = OrientationEngine(
         EngineConfig(n=n, epsilon=eps, threshold=threshold), weights
     )
@@ -140,7 +142,7 @@ def test_c2_vwdsg_oracle():
         n = rng.randint(3, 12)
         weights = [Fraction(rng.randint(4, 32), 4) for _ in range(n)]  # [1, 8]
         w_max = max(float(w) for w in weights)
-        dup = duplication_factor(n * w_max, eps, 4.0)
+        dup = duplication_factor(n * w_max, eps)
         engine = OrientationEngine(
             EngineConfig(n=n, epsilon=eps, duplication=dup),
             [float(w) for w in weights],
@@ -309,8 +311,8 @@ def test_c5_amortized_scaling():
             f"delete cost drifted: {delete_cost}"
         )
     # measured constant relative to the analytical normalization
-    engine_alpha = 0.25 * eps * eps / log_scale(n)
-    norm = log_scale(n) * (4.0 / engine_alpha)
+    engine_alpha = ALPHA_C * eps * eps / log_scale(n)
+    norm = log_scale(n) * (LOOP_C / engine_alpha)
     c_measured = max(delete_cost.values()) / norm
     return (
         f"insert arcs/op {base_ins:.2f}->{insert_cost[160_000]:.2f}, "

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from densedyn import cli, stream
@@ -43,6 +44,16 @@ def test_run_malformed_stream_exits_one(tmp_path):
     assert "line 2" in result.output
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_run_non_finite_weight_exits_one(tmp_path, weight):
+    path = _write(tmp_path, f"h 3 vwdsg 0.2\nw 0 {weight}\n+ 0 1\n?\n")
+    result = CliRunner().invoke(cli.main, ["run", "--stream", path])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # not an uncaught error
+    assert "line 2" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_engine_error_exits_one(tmp_path):
     path = _write(tmp_path, "h 3 ddsg 0.2\n- 0 1\n")
     result = CliRunner().invoke(cli.main, ["run", "--stream", path])
@@ -70,7 +81,7 @@ def test_verify_clean_exits_zero(tmp_path):
 def test_verify_failure_exits_two(tmp_path, monkeypatch):
     path = _write(tmp_path, "h 2 ddsg 0.2\n+ 0 1\n?\n")
 
-    def fake_verify(header, events, config):
+    def fake_verify(header, events, eps):
         return stream.VerifyReport(
             ok=False, queries=[], worst_ratio=0.5, violations=1, counters={}
         )

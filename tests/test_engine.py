@@ -6,11 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densedyn import oracle
-from densedyn.engine import INF, EngineConfig, OrientationEngine
+from densedyn.engine import ALPHA_C, INF, LOOP_C, EngineConfig, OrientationEngine
+from densedyn.levels import build_level_params
 
 
-def make(n, eps=0.5, weights=None, **kw):
-    return OrientationEngine(EngineConfig(n=n, epsilon=eps, **kw), weights)
+def make(n, eps=0.5, weights=None, alpha=None, loop_c=LOOP_C, **kw):
+    """A fresh engine; ``alpha`` replaces the derived band width (and
+    ``loop_c`` the scan constant) so that small tests get coarse bands."""
+    e = OrientationEngine(EngineConfig(n=n, epsilon=eps, **kw), weights)
+    if alpha is not None:
+        # everything that depends on alpha, on an engine that is still empty
+        e.alpha = alpha
+        e.params = build_level_params(alpha, e.params.max_value)
+        e.budget = math.ceil(loop_c / alpha)
+        e.debug_audit()
+    return e
 
 
 def arc_pair_record(e, u, v):
@@ -53,13 +63,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             make(0)
         with pytest.raises(ValueError):
-            make(2, loop_c=0)
-        with pytest.raises(ValueError):
             make(2, duplication=0)
 
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(ValueError):
             make(2, weights=[0.5, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="vertex 0"):
+            make(3, weights=[bad, 1.0, 1.0])
 
     def test_rejects_threshold_below_floor(self):
         # minimum useful cap is log2(nW) / eps^2
@@ -69,8 +82,8 @@ class TestConfig:
 
     def test_derived_alpha(self):
         e = make(4, eps=0.2)
-        assert e.alpha == pytest.approx(0.25 * 0.04 / 2.0)
-        assert e.budget == math.ceil(4 / e.alpha)
+        assert e.alpha == pytest.approx(ALPHA_C * 0.04 / 2.0)
+        assert e.budget == math.ceil(LOOP_C / e.alpha)
 
     def test_alpha_override(self):
         e = make(4, alpha=0.5, loop_c=1)

@@ -16,11 +16,29 @@ from densedyn.engine import (
     duplication_factor,
     log_scale,
 )
-from densedyn.extract import GAP_BANDS, ExtractionResult, extract, induced_density
+from densedyn.extract import GAP_BANDS, ExtractionResult, extract
 
 
 def make(n, eps=0.2, weights=None, **kw):
     return OrientationEngine(EngineConfig(n=n, epsilon=eps, **kw), weights)
+
+
+def induced_density(engine: OrientationEngine, vertices) -> float:
+    """Exact logical density of ``vertices``: stored copies inside the set
+    divided by duplication, over total vertex weight."""
+    vs = set(vertices)
+    if not vs:
+        raise ValueError("induced_density of an empty set is undefined")
+    for v in vs:
+        if not 0 <= v < engine.n:
+            raise ValueError(f"vertex {v} out of range")
+    copies = 0
+    for v in vs:
+        for nb in engine.neighbors(v):
+            if nb > v and nb in vs:
+                copies += engine.pair_copies(v, nb)
+    weight = sum(engine.weight(v) for v in vs)
+    return copies / (engine.config.duplication * weight)
 
 
 def full_scan(engine: OrientationEngine, epsilon: float) -> tuple[ExtractionResult, int]:

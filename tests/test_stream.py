@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from densedyn.engine import ALPHA_C, DUP_C, LOOP_C, THRESHOLD_C
 from densedyn.stream import (
     StreamFormatError,
     StreamRunError,
@@ -49,6 +50,11 @@ class TestParse:
         assert header.weight_list() == [1.0, 2.5, 1.0]
         with pytest.raises(StreamFormatError):
             parse_stream("h 3 ddsg 0.2\nw 1 2.5\n")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(StreamFormatError, match="line 2"):
+            parse_stream(f"h 3 vwdsg 0.2\nw 0 {weight}\n+ 0 1\n?\n")
 
     def test_weights_must_precede_updates(self):
         with pytest.raises(StreamFormatError, match="line 3"):
@@ -105,6 +111,18 @@ class TestRun:
         assert c["flips"] <= c["arcs_inc"] + c["arcs_dec"]
         assert c["label_resets"] <= c["arcs_inc"] + c["arcs_dec"]
 
+    def test_config_echoes_engine_constants(self):
+        header, events = parse_stream("h 3 vwdsg 0.2\n+ 0 1\n?\n")
+        assert run(header, events, eps=0.3).config == {
+            "n": 3,
+            "mode": "vwdsg",
+            "eps": 0.3,
+            "alpha_c": ALPHA_C,
+            "loop_c": LOOP_C,
+            "dup_c": DUP_C,
+            "threshold_c": THRESHOLD_C,
+        }
+
     def test_jsonl_shape(self):
         header, events = parse_stream("h 3 ddsg 0.2\n+ 0 1\n?\n")
         text = run(header, events).to_jsonl()
@@ -116,6 +134,43 @@ class TestRun:
         assert "timings" not in summary
         timed = run(header, events).to_jsonl(include_timings=True)
         assert "timings" in json.loads(timed.strip().split("\n")[-1])
+
+
+class TestGolden:
+    """Exact counters and returned sets of two seeded streams.  Any change
+    to them is a change to ``run`` reports and must be recorded as one."""
+
+    def test_ddsg(self):
+        text = random_stream_text(6, "ddsg", 0.3, 60, seed=5, query_every=15)
+        report = run(*parse_stream(text))
+        assert report.counters == {
+            "arcs_inc": 6346, "arcs_dec": 7669, "flips": 4389, "copies_moved": 25613,
+            "label_resets": 3162, "max_chain_inc": 10, "max_chain_dec": 11,
+            "inserts": 30624, "deletes": 25056,
+        }
+        assert [(q["index"], q["sources"], q["sinks"], q["regime"]) for q in report.queries] == [
+            (15, [0, 4, 5], [1], "low"),
+            (31, [0, 1, 2], [0, 1, 2, 3, 4, 5], "low"),
+            (47, [1], [0, 3, 5], "low"),
+            (63, [1, 2, 4], [0, 1, 3, 5], "low"),
+            (64, [1, 2, 4], [0, 1, 3, 5], "low"),
+        ]
+
+    def test_weighted_vwdsg(self):
+        head, _, body = random_stream_text(12, "vwdsg", 0.25, 80, seed=6, query_every=20).partition("\n")
+        report = run(*parse_stream(f"{head}\nw 0 3.0\nw 4 1.5\nw 7 6.0\n{body}"))
+        assert report.counters == {
+            "arcs_inc": 4934, "arcs_dec": 5554, "flips": 3694, "copies_moved": 36350,
+            "label_resets": 3246, "max_chain_inc": 14, "max_chain_dec": 12,
+            "inserts": 21330, "deletes": 10270,
+        }
+        assert [(q["index"], q["vertices"], q["prefix_level"]) for q in report.queries] == [
+            (20, [1, 4, 5, 8, 11], 211),
+            (41, [1, 2, 3, 4, 5, 6, 8, 9, 10, 11], 313),
+            (62, [1, 2, 3, 5, 6, 8, 9, 10, 11], 366),
+            (83, [0, 1, 2, 3, 4, 5, 6, 8, 10, 11], 372),
+            (84, [0, 1, 2, 3, 4, 5, 6, 8, 10, 11], 372),
+        ]
 
 
 class TestVerify:
