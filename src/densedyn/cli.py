@@ -32,7 +32,7 @@ _out = click.option("--out", type=click.Path(dir_okay=False, writable=True),
                     default=None, help="Write the report here instead of stdout.")
 
 
-_eps_override = click.option("--eps", type=float, default=None, help="Override header epsilon.")
+_eps_override = click.option("--eps", type=float, default=None, help="Override header epsilon, in (0, 1).")
 
 
 def _read_stream(path: str) -> str:

@@ -15,6 +15,19 @@ it takes to even out its two endpoints.  The work per update therefore does
 not grow with the number of copies.  A layer index (vertices bucketed by
 load band) supports peak-load queries and prefix extraction.
 
+The label index files each vertex's incoming directions by label value and
+its outgoing directions by label band, in plain dicts of insertion-ordered
+buckets.  Rebalancing only ever reads extreme keys: the lowest and highest
+incoming label and the highest outgoing band.  So instead of keeping the keys
+sorted, each dict has lazy heaps of them, a min-heap and a max-heap for
+incoming labels and a max-heap for outgoing bands.  A key is pushed when its
+bucket is created and popped once it reaches a top after its bucket emptied;
+a heap is rebuilt from the live keys once it holds more than about twice as
+many.  A heap's top live key is exactly the extreme key a sorted map gives,
+and the first arc of a bucket is the one filed earliest either way, so every
+scan picks the same arc in the same order and every decision, counter and
+answer is the same as with a sorted map.
+
 The analysis fixes four tuning constants, and this module is their only
 home: ``ALPHA_C`` (band width), ``LOOP_C`` (arc-scan budget), ``DUP_C`` (edge
 duplication) and ``THRESHOLD_C`` (load cap of a low-density instance).
@@ -26,8 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from sortedcontainers import SortedDict
+from heapq import heapify, heappop, heappush
 
 from .levels import BOUNDARY_TOL, LevelParams, build_level_params
 
@@ -43,6 +55,8 @@ LOOP_C = 4
 DUP_C = 4.0
 # Scales the low-density load cap, THRESHOLD_C * log2(scale)^2 / eps^4.
 THRESHOLD_C = 4.0
+# A lazy key heap is rebuilt once it holds more than 2 * live keys + this.
+HEAP_SLACK = 8
 
 
 def log_scale(x: float) -> float:
@@ -131,6 +145,66 @@ def _last_true(lo: int, hi: int, ok) -> int:
     return lo
 
 
+def _file(keys: dict, key, arc: _Arc, hi: list, lo: list | None = None) -> None:
+    """Add ``arc`` to the bucket of ``key`` in ``keys``.  A new key is pushed
+    onto the max-heap ``hi`` (negated) and onto the min-heap ``lo``, if any.
+    That adds one entry to a heap and raises its bound in :func:`_unfile` by
+    two, so only a leaving key can break the bound."""
+    bucket = keys.get(key)
+    if bucket is None:
+        keys[key] = {arc: None}
+        heappush(hi, -key)
+        if lo is not None:
+            heappush(lo, key)
+    else:
+        bucket[arc] = None
+
+
+def _unfile(keys: dict, key, arc: _Arc, hi: list, lo: list | None = None) -> None:
+    """Take ``arc`` out of the bucket of ``key``.  An emptied bucket's key
+    leaves ``keys`` at once but stays in the heaps until it reaches a top.
+    A heap is rebuilt from the live keys once it holds more than
+    ``2 * len(keys) + HEAP_SLACK`` entries, so dead keys cost O(1) amortized
+    and never outnumber live ones by much.  Each heap is checked on its own,
+    since lazy pops thin them at different rates."""
+    bucket = keys[key]
+    del bucket[arc]
+    if not bucket:
+        del keys[key]
+        limit = 2 * len(keys) + HEAP_SLACK
+        if len(hi) > limit:
+            _rebuild(hi, [-k for k in keys])
+        if lo is not None and len(lo) > limit:
+            _rebuild(lo, list(keys))
+
+
+def _rebuild(heap: list, entries: list) -> None:
+    """Replace the contents of ``heap`` by the heap of ``entries``, in place,
+    so that a scan holding the list sees the rebuilt heap."""
+    heapify(entries)
+    heap[:] = entries
+
+
+def _min_key(heap: list, keys: dict):
+    """Smallest live key of a non-empty ``keys``; pops dead entries off the
+    top of its min-heap."""
+    key = heap[0]
+    while key not in keys:
+        heappop(heap)
+        key = heap[0]
+    return key
+
+
+def _max_key(heap: list, keys: dict):
+    """Largest live key of a non-empty ``keys``; pops dead entries off the
+    top of its max-heap of negated keys."""
+    key = -heap[0]
+    while key not in keys:
+        heappop(heap)
+        key = -heap[0]
+    return key
+
+
 class OrientationEngine:
     """Dynamic orientation of a vertex-weighted undirected multigraph."""
 
@@ -169,9 +243,13 @@ class OrientationEngine:
             self._kcap = [math.ceil(self.threshold * x) for x in w]
             self._cap_level = self.params.level_of(self.threshold)
         # bucket values are insertion-ordered dicts keyed by arc record, so
-        # replay order (hence every report) is deterministic
-        self._in = [SortedDict() for _ in range(n)]   # label value -> arcs
-        self._out = [SortedDict() for _ in range(n)]  # label band  -> arcs
+        # replay order (hence every report) is deterministic; the heaps are
+        # the lazy key heaps of the module docstring
+        self._in = [{} for _ in range(n)]      # label value -> arcs
+        self._in_lo = [[] for _ in range(n)]   # min-heap of label values
+        self._in_hi = [[] for _ in range(n)]   # max-heap of -label values
+        self._out = [{} for _ in range(n)]     # label band  -> arcs
+        self._out_hi = [[] for _ in range(n)]  # max-heap of -label bands
         self._pairs: dict[tuple[int, int], _Arc] = {}
         self._nbrs = [set() for _ in range(n)]
         self._layers: dict[int, set[int]] = {0: set(range(n))}
@@ -421,38 +499,26 @@ class OrientationEngine:
             self._struct_remove(arc)
 
     def _struct_remove(self, arc: _Arc) -> None:
-        in_map = self._in[arc.head]
-        bucket = in_map[arc.label]
-        bucket.pop(arc, None)
-        if not bucket:
-            del in_map[arc.label]
-        out_map = self._out[arc.tail]
-        obucket = out_map[arc.label_level]
-        obucket.pop(arc, None)
-        if not obucket:
-            del out_map[arc.label_level]
+        h, t = arc.head, arc.tail
+        _unfile(self._in[h], arc.label, arc, self._in_hi[h], self._in_lo[h])
+        _unfile(self._out[t], arc.label_level, arc, self._out_hi[t])
         arc.placed = False
 
     def _relabel(self, arc: _Arc, value: float, lvl: int) -> None:
         """Set the direction's shared label, keeping both lookup maps honest."""
+        h, t = arc.head, arc.tail
         if arc.placed:
             if value != arc.label:
-                in_map = self._in[arc.head]
-                bucket = in_map[arc.label]
-                bucket.pop(arc, None)
-                if not bucket:
-                    del in_map[arc.label]
-                in_map.setdefault(value, {})[arc] = None
+                in_map, hi, lo = self._in[h], self._in_hi[h], self._in_lo[h]
+                _unfile(in_map, arc.label, arc, hi, lo)
+                _file(in_map, value, arc, hi, lo)
             if lvl != arc.label_level:
-                out_map = self._out[arc.tail]
-                obucket = out_map[arc.label_level]
-                obucket.pop(arc, None)
-                if not obucket:
-                    del out_map[arc.label_level]
-                out_map.setdefault(lvl, {})[arc] = None
+                out_map, hi = self._out[t], self._out_hi[t]
+                _unfile(out_map, arc.label_level, arc, hi)
+                _file(out_map, lvl, arc, hi)
         else:
-            self._in[arc.head].setdefault(value, {})[arc] = None
-            self._out[arc.tail].setdefault(lvl, {})[arc] = None
+            _file(self._in[h], value, arc, self._in_hi[h], self._in_lo[h])
+            _file(self._out[t], lvl, arc, self._out_hi[t])
             arc.placed = True
         arc.label = value
         arc.label_level = lvl
@@ -545,6 +611,12 @@ class OrientationEngine:
         arcs per band ``x`` moved since it was queued.  Every move queues its
         other endpoint.  Evening out lowers ``sum(indeg^2 / weight)`` with each
         copy and owed copies only run down, so the queue empties.
+
+        Each scan step reads one extreme key off a lazy heap of the label
+        index (the highest outgoing band, the lowest or the highest incoming
+        label) and takes the earliest-filed arc of its bucket.  These are the
+        key and arc a sorted map would give, so the order of decisions does
+        not depend on how the index is kept.
         """
         stats = self.stats
         lvl = self._lvl
@@ -564,15 +636,15 @@ class OrientationEngine:
             d = depth.pop(x)
             deepest = max(deepest, d)
             budget = self.budget * max(1, abs(lvl[x] - base.pop(x)))
-            out_map = self._out[x]
-            in_map = self._in[x]
+            out_map, out_hi = self._out[x], self._out_hi[x]
+            in_map, in_lo, in_hi = self._in[x], self._in_lo[x], self._in_hi[x]
             while True:
                 while out_map:
-                    top, bucket = out_map.peekitem(-1)
+                    top = _max_key(out_hi, out_map)
                     lx = lvl[x]
                     if lx + 3 > top:
                         break
-                    arc = next(iter(bucket))  # x -> y
+                    arc = next(iter(out_map[top]))  # x -> y
                     y = arc.head
                     stats["arcs_dec"] += 1
                     ly = lvl[y]
@@ -601,8 +673,7 @@ class OrientationEngine:
                 for _ in range(budget):
                     if not in_map:
                         break
-                    _, bucket = in_map.peekitem(0)
-                    arc = next(iter(bucket))  # t -> x
+                    arc = next(iter(in_map[_min_key(in_lo, in_map)]))  # t -> x
                     stats["arcs_inc"] += 1
                     lx = lvl[x]
                     if lx < arc.label_level + 2:
@@ -625,8 +696,7 @@ class OrientationEngine:
             for _ in range(budget):
                 if not in_map:
                     break
-                _, bucket = in_map.peekitem(-1)
-                arc = next(iter(bucket))
+                arc = next(iter(in_map[_max_key(in_hi, in_map)]))
                 stats["arcs_dec"] += 1
                 if arc.label_level < lx + 2:
                     break
@@ -675,8 +745,19 @@ class OrientationEngine:
         assert self._top == max(self._layers), "top layer drift"
         for v in range(n):
             for label, bucket in self._in[v].items():
+                assert bucket, f"empty label bucket {label} retained at {v}"
                 for a in bucket:
                     assert a.head == v and a.count > 0 and a.label == label
             for band, bucket in self._out[v].items():
+                assert bucket, f"empty band bucket {band} retained at {v}"
                 for a in bucket:
                     assert a.tail == v and a.count > 0 and a.label_level == band
+            for keys, heap, sign in ((self._in[v], self._in_lo[v], 1),
+                                     (self._in[v], self._in_hi[v], -1),
+                                     (self._out[v], self._out_hi[v], -1)):
+                assert {sign * k for k in heap}.issuperset(keys), (
+                    f"live key missing from a heap at {v}"
+                )
+                assert len(heap) <= 2 * len(keys) + HEAP_SLACK, (
+                    f"heap of {len(heap)} entries for {len(keys)} keys at {v}"
+                )

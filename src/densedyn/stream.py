@@ -3,7 +3,8 @@
 Stream format (whitespace separated, LF terminated)::
 
     h <n> <ddsg|vwdsg> <epsilon>   header, required first
-    w <v> <weight>                 optional, vwdsg only, before any update
+    w <v> <weight>                 optional, vwdsg only, once per vertex, before
+                                   any update
     + <u> <v>                      insert edge (directed in ddsg mode)
     - <u> <v>                      delete edge
     ?                              query
@@ -114,6 +115,8 @@ def parse_stream(text: str) -> tuple[StreamHeader, list[UpdateEvent]]:
                 raise StreamFormatError(lineno, "weight fields must be numeric") from None
             if not 0 <= v < n:
                 raise StreamFormatError(lineno, f"vertex {v} out of range")
+            if v in weights:
+                raise StreamFormatError(lineno, f"duplicate weight for vertex {v}")
             if not math.isfinite(wt):
                 raise StreamFormatError(lineno, f"weight {wt} must be finite")
             if wt < 1.0:
@@ -260,14 +263,23 @@ def _timed(fn, timings: dict[str, float], key: str):
     return call
 
 
+def _epsilon(header: StreamHeader, eps: float | None) -> float:
+    """The header's epsilon, or the override ``eps`` once it passes the rule
+    the header's own value passed in :func:`parse_stream` (NaN fails it)."""
+    if eps is None:
+        return header.epsilon
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps override must be in (0, 1), got {eps}")
+    return eps
+
+
 def run(header: StreamHeader, events: list[UpdateEvent], eps: float | None = None) -> RunReport:
     """Replay events against a fresh structure; collect per-query records.
 
     ``eps``, when given, overrides the header epsilon.  The summary's
     ``config`` echoes it along with the engine's tuning constants.
     """
-    if eps is None:
-        eps = header.epsilon
+    eps = _epsilon(header, eps)
     queries: list[dict] = []
     timings = {"build": 0.0, "updates": 0.0, "queries": 0.0}
 
@@ -326,8 +338,7 @@ def verify(header: StreamHeader, events: list[UpdateEvent], eps: float | None = 
     local-optimality checkers on every instance at every query point.
     ``eps``, when given, overrides the header epsilon.
     """
-    if eps is None:
-        eps = header.epsilon
+    eps = _epsilon(header, eps)
     mirror, solve = _oracle(header, "verify")
     insert, delete, query, engines, counters = _structure(header, eps)
     queries: list[dict] = []

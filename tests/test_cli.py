@@ -54,6 +54,27 @@ def test_run_non_finite_weight_exits_one(tmp_path, weight):
     assert "Traceback" not in result.output
 
 
+def test_run_duplicate_weight_exits_one(tmp_path):
+    path = _write(tmp_path, "h 3 vwdsg 0.2\nw 0 2\nw 0 5\n+ 0 1\n?\n")
+    result = CliRunner().invoke(cli.main, ["run", "--stream", path])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "line 3: duplicate weight for vertex 0" in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("eps", ["nan", "0", "1", "1.5"])
+def test_eps_override_out_of_range_exits_one(tmp_path, command, eps):
+    path = _write(tmp_path, "h 3 vwdsg 0.2\n+ 0 1\n?\n")
+    result = CliRunner().invoke(cli.main, [command, "--stream", path, "--eps", eps])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "eps override must be in (0, 1)" in result.output
+    assert f"got {float(eps)}" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_engine_error_exits_one(tmp_path):
     path = _write(tmp_path, "h 3 ddsg 0.2\n- 0 1\n")
     result = CliRunner().invoke(cli.main, ["run", "--stream", path])

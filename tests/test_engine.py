@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densedyn import engine as engine_module
 from densedyn import oracle
-from densedyn.engine import ALPHA_C, INF, LOOP_C, EngineConfig, OrientationEngine
+from densedyn.engine import ALPHA_C, HEAP_SLACK, INF, LOOP_C, EngineConfig, OrientationEngine
 from densedyn.levels import build_level_params
 
 
@@ -508,6 +509,38 @@ def test_batch_insert_scans_constant_arcs():
     assert e.stats["inserts"] == 1000
     assert e.stats["arcs_inc"] + e.stats["arcs_dec"] <= 4
     assert e.stats["flips"] == 0
+
+
+def test_label_heaps_stay_compact_under_churn(monkeypatch):
+    # single copies churned among 4 vertices keep relabeling the same few
+    # arcs; dead keys pile up in the label heaps unless they are rebuilt
+    rebuilds = []
+    rebuild = engine_module._rebuild
+
+    def counting(heap, entries):
+        rebuilds.append(len(heap))
+        rebuild(heap, entries)
+
+    monkeypatch.setattr(engine_module, "_rebuild", counting)
+    e = make(4, eps=0.4, weights=[1.0, 1.5, 2.0, 1.25])
+    rng = random.Random(7)
+    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    live = dict.fromkeys(pairs, 0)
+    for _ in range(3000):
+        u, v = rng.choice(pairs)
+        if live[(u, v)] and rng.random() < 0.5:
+            e.delete(u, v)
+            live[(u, v)] -= 1
+        elif sum(live.values()) < 80:
+            e.insert(u, v)
+            live[(u, v)] += 1
+        for x in range(4):
+            for keys, heap in ((e._in[x], e._in_lo[x]), (e._in[x], e._in_hi[x]),
+                               (e._out[x], e._out_hi[x])):
+                assert len(heap) <= 2 * len(keys) + HEAP_SLACK
+        e.debug_audit()
+    assert len(rebuilds) >= 10
+    assert e.verify_local_optimality() == []
 
 
 def _greedy_insert_split(e, u, v, k):

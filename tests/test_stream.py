@@ -56,6 +56,10 @@ class TestParse:
         with pytest.raises(StreamFormatError, match="line 2"):
             parse_stream(f"h 3 vwdsg 0.2\nw 0 {weight}\n+ 0 1\n?\n")
 
+    def test_duplicate_weight_rejected(self):
+        with pytest.raises(StreamFormatError, match="line 3: duplicate weight for vertex 0"):
+            parse_stream("h 3 vwdsg 0.2\nw 0 2\nw 0 5\n+ 0 1\n?\n")
+
     def test_weights_must_precede_updates(self):
         with pytest.raises(StreamFormatError, match="line 3"):
             parse_stream("h 3 vwdsg 0.2\n+ 0 1\nw 1 2.5\n")
