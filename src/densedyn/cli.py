@@ -109,6 +109,14 @@ def verify_cmd(stream, eps, out):
 @_out
 def bench_cmd(n, events, mode, query_every, timings, eps, seed, out):
     """Generate a seeded random stream, replay it, and report counters."""
+    for option, value, ok, rule in (
+        ("--n", n, n >= 2, "at least 2"),
+        ("--events", events, events >= 0, "at least 0"),
+        ("--query-every", query_every, query_every >= 0, "at least 0"),
+        ("--eps", eps, 0.0 < eps < 1.0, "in (0, 1)"),
+    ):
+        if not ok:
+            _fail_input(ValueError(f"{option} must be {rule}, got {value}"))
     try:
         text = random_stream_text(n, mode, eps, events, seed, query_every)
         header, evs = parse_stream(text)

@@ -8,25 +8,28 @@ rebalancing decisions read labels instead of live loads so that one load
 change never fans out to every incident arc.
 
 Parallel copies of an edge share one record per direction: a multiplicity
-counter plus a single label.  Updates move copies in batches: ``insert`` and
-``delete`` split all their copies between the two directions with one
-water-fill, and each rebalancing flip moves as many copies of a direction as
-it takes to even out its two endpoints.  The work per update therefore does
-not grow with the number of copies.  A layer index (vertices bucketed by
-load band) supports peak-load queries and prefix extraction.
+counter plus a single label.  ``_adj[v][u]`` is the direction u->v, and an
+edge leaves both endpoints' maps once neither direction has copies.  Updates
+move copies in batches: ``insert`` and ``delete`` split all their copies
+between the two directions with one water-fill, and each rebalancing flip
+moves as many copies of a direction as it takes to even out its two
+endpoints.  The work per update therefore does not grow with the number of
+copies.  A layer index (vertices bucketed by load band) supports peak-load
+queries and prefix extraction.
 
 The label index files each vertex's incoming directions by label value and
 its outgoing directions by label band, in plain dicts of insertion-ordered
-buckets.  Rebalancing only ever reads extreme keys: the lowest and highest
-incoming label and the highest outgoing band.  So instead of keeping the keys
-sorted, each dict has lazy heaps of them, a min-heap and a max-heap for
-incoming labels and a max-heap for outgoing bands.  A key is pushed when its
-bucket is created and popped once it reaches a top after its bucket emptied;
-a heap is rebuilt from the live keys once it holds more than about twice as
-many.  A heap's top live key is exactly the extreme key a sorted map gives,
-and the first arc of a bucket is the one filed earliest either way, so every
-scan picks the same arc in the same order and every decision, counter and
-answer is the same as with a sorted map.
+buckets; a direction is filed exactly while its count is positive.
+Rebalancing only ever reads extreme keys: the lowest and highest incoming
+label and the highest outgoing band.  So instead of keeping the keys sorted,
+each dict has lazy heaps of them, a min-heap and a max-heap for incoming
+labels and a max-heap for outgoing bands.  A key is pushed when its bucket is
+created and popped once it reaches a top after its bucket emptied; a heap is
+rebuilt from the live keys once it holds more than about twice as many.  A
+heap's top live key is exactly the extreme key a sorted map gives, and the
+first arc of a bucket is the one filed earliest either way, so every scan
+picks the same arc in the same order and every decision, counter and answer
+is the same as with a sorted map.
 
 The analysis fixes four tuning constants, and this module is their only
 home: ``ALPHA_C`` (band width), ``LOOP_C`` (arc-scan budget), ``DUP_C`` (edge
@@ -109,7 +112,7 @@ class EngineConfig:
 class _Arc:
     """One direction of an undirected edge: multiplicity plus shared label."""
 
-    __slots__ = ("tail", "head", "count", "label", "label_level", "twin", "placed")
+    __slots__ = ("tail", "head", "count", "label", "label_level", "twin")
 
     def __init__(self, tail: int, head: int):
         self.tail = tail
@@ -118,15 +121,14 @@ class _Arc:
         self.label = 0.0
         self.label_level = 0
         self.twin: _Arc = None  # linked right after construction
-        self.placed = False
 
 
 def _last_true(lo: int, hi: int, ok) -> int:
     """Largest ``x`` in ``[lo, hi]`` with ``ok(x)``, for a predicate that holds
     at ``lo`` (never evaluated there) and switches to false at most once.
 
-    Gallops up from ``lo`` and then bisects, so a small answer costs only a
-    few probes.
+    Gallops up from ``lo`` and then binary-searches, so a small answer costs
+    only a few probes.
     """
     step = 1
     while lo < hi:
@@ -250,8 +252,7 @@ class OrientationEngine:
         self._in_hi = [[] for _ in range(n)]   # max-heap of -label values
         self._out = [{} for _ in range(n)]     # label band  -> arcs
         self._out_hi = [[] for _ in range(n)]  # max-heap of -label bands
-        self._pairs: dict[tuple[int, int], _Arc] = {}
-        self._nbrs = [set() for _ in range(n)]
+        self._adj: list[dict[int, _Arc]] = [{} for _ in range(n)]  # head -> tail -> arc
         self._layers: dict[int, set[int]] = {0: set(range(n))}
         self._top = 0
         self._copies = 0
@@ -294,17 +295,17 @@ class OrientationEngine:
         return self._lvl[v]
 
     def neighbors(self, v: int):
-        return self._nbrs[v]
+        return self._adj[v].keys()
 
     def pair_copies(self, u: int, v: int) -> int:
         """Total copies of the undirected edge {u, v} currently stored."""
-        arc = self._pairs.get((u, v) if u < v else (v, u))
+        arc = self._adj[v].get(u)
         return 0 if arc is None else arc.count + arc.twin.count
 
     def iter_arcs(self):
         """Yield (tail, head, count, label, label_level) for live directions."""
-        for arc in self._pairs.values():
-            for a in (arc, arc.twin):
+        for into in self._adj:
+            for a in into.values():
                 if a.count > 0:
                     yield a.tail, a.head, a.count, a.label, a.label_level
 
@@ -346,9 +347,9 @@ class OrientationEngine:
             if c:
                 base[head] = self._lvl[head]
                 arc = self._direction(tail, head)
-                arc.count += c
                 self._shift(head, c)
                 self._relabel(arc, self.thresholded_load(head), self._lvl[head])
+                arc.count += c
         self._settle(list(base), base, {}, "max_chain_inc")
 
     def delete(self, u: int, v: int, multiplicity: int = 1) -> None:
@@ -370,8 +371,7 @@ class OrientationEngine:
             )
         k = multiplicity
         p, q = (u, v) if u < v else (v, u)
-        pair = self._pairs[(p, q)]
-        into_p = pair if pair.head == p else pair.twin
+        into_p = self._adj[p][q]
         into_q = into_p.twin
         cq = into_q.count
         ip, iq = self._ind[p], self._ind[q]
@@ -394,9 +394,8 @@ class OrientationEngine:
                 self._drop(arc, c)
                 self._shift(arc.head, -c)
         if into_p.count == 0 and into_q.count == 0:
-            del self._pairs[(p, q)]
-            self._nbrs[p].discard(q)
-            self._nbrs[q].discard(p)
+            del self._adj[p][q]
+            del self._adj[q][p]
         self._settle(list(base), base, owed, "max_chain_dec")
 
     def _check_pair(self, u: int, v: int) -> None:
@@ -441,8 +440,8 @@ class OrientationEngine:
         """
         lvl = self._lvl
         bad = []
-        for pair in self._pairs.values():
-            for a in (pair, pair.twin):
+        for into in self._adj:
+            for a in into.values():
                 if a.count == 0:
                     continue
                 lt = lvl[a.tail]
@@ -480,34 +479,27 @@ class OrientationEngine:
     # internals
 
     def _direction(self, tail: int, head: int) -> _Arc:
-        key = (tail, head) if tail < head else (head, tail)
-        pair = self._pairs.get(key)
-        if pair is None:
-            fwd = _Arc(key[0], key[1])
-            bwd = _Arc(key[1], key[0])
-            fwd.twin = bwd
-            bwd.twin = fwd
-            self._pairs[key] = fwd
-            self._nbrs[key[0]].add(key[1])
-            self._nbrs[key[1]].add(key[0])
-            pair = fwd
-        return pair if pair.tail == tail else pair.twin
+        arc = self._adj[head].get(tail)
+        if arc is None:
+            arc, twin = _Arc(tail, head), _Arc(head, tail)
+            arc.twin, twin.twin = twin, arc
+            self._adj[head][tail] = arc
+            self._adj[tail][head] = twin
+        return arc
 
     def _drop(self, arc: _Arc, c: int) -> None:
         arc.count -= c
-        if arc.count == 0 and arc.placed:
-            self._struct_remove(arc)
-
-    def _struct_remove(self, arc: _Arc) -> None:
-        h, t = arc.head, arc.tail
-        _unfile(self._in[h], arc.label, arc, self._in_hi[h], self._in_lo[h])
-        _unfile(self._out[t], arc.label_level, arc, self._out_hi[t])
-        arc.placed = False
+        if arc.count == 0:
+            h, t = arc.head, arc.tail
+            _unfile(self._in[h], arc.label, arc, self._in_hi[h], self._in_lo[h])
+            _unfile(self._out[t], arc.label_level, arc, self._out_hi[t])
 
     def _relabel(self, arc: _Arc, value: float, lvl: int) -> None:
-        """Set the direction's shared label, keeping both lookup maps honest."""
+        """Set the direction's shared label, keeping both lookup maps honest.
+        A direction is filed exactly while it has copies, so one with none
+        is filed here, and its caller adds its copies right after."""
         h, t = arc.head, arc.tail
-        if arc.placed:
+        if arc.count:
             if value != arc.label:
                 in_map, hi, lo = self._in[h], self._in_hi[h], self._in_lo[h]
                 _unfile(in_map, arc.label, arc, hi, lo)
@@ -519,7 +511,6 @@ class OrientationEngine:
         else:
             _file(self._in[h], value, arc, self._in_hi[h], self._in_lo[h])
             _file(self._out[t], lvl, arc, self._out_hi[t])
-            arc.placed = True
         arc.label = value
         arc.label_level = lvl
 
@@ -563,11 +554,10 @@ class OrientationEngine:
         self.stats["copies_moved"] += m
         self._drop(arc, m)
         self._shift(arc.head, -m)
-        twin = arc.twin
-        twin.count += m
         tail = arc.tail
         self._shift(tail, m)
-        self._relabel(twin, self.thresholded_load(tail), self._lvl[tail])
+        self._relabel(arc.twin, self.thresholded_load(tail), self._lvl[tail])
+        arc.twin.count += m
 
     def _move_layer(self, v: int, old: int, new: int) -> None:
         bucket = self._layers[old]
@@ -715,21 +705,20 @@ class OrientationEngine:
         n = self.config.n
         ind = [0] * n
         copies = 0
-        for pair in self._pairs.values():
-            assert pair.count > 0 or pair.twin.count > 0, "dead pair retained"
-            for a in (pair, pair.twin):
-                ind[a.head] += a.count
+        for v, into in enumerate(self._adj):
+            for u, a in into.items():
+                assert a.head == v and a.tail == u, f"arc {u}->{v} keyed wrong"
+                assert self._adj[u].get(v) is a.twin, f"no mirror of {u}->{v}"
+                assert a.count > 0 or a.twin.count > 0, "dead pair retained"
+                ind[v] += a.count
                 copies += a.count
                 if a.count > 0:
-                    assert a.placed, "live arc missing from structures"
-                    assert a in self._in[a.head][a.label]
-                    assert a in self._out[a.tail][a.label_level]
+                    assert a in self._in[v].get(a.label, ()), "live arc unfiled"
+                    assert a in self._out[u].get(a.label_level, ()), "live arc unfiled"
                     expect = self.params.level_of(a.label)
                     assert a.label_level == expect, (
                         f"label level drift: {a.label_level} vs {expect}"
                     )
-                else:
-                    assert not a.placed, "dead arc left in structures"
         assert copies == self._copies, "copy counter drift"
         for v in range(n):
             assert ind[v] == self._ind[v], f"indeg drift at {v}"
@@ -747,7 +736,8 @@ class OrientationEngine:
             for label, bucket in self._in[v].items():
                 assert bucket, f"empty label bucket {label} retained at {v}"
                 for a in bucket:
-                    assert a.head == v and a.count > 0 and a.label == label
+                    assert a.count > 0, f"arc without copies filed at {v}"
+                    assert a.head == v and a.label == label
             for band, bucket in self._out[v].items():
                 assert bucket, f"empty band bucket {band} retained at {v}"
                 for a in bucket:

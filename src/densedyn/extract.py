@@ -1,21 +1,31 @@
 """Turn a maintained orientation into an explicit dense vertex set.
 
-Vertices are scanned from the highest load band downward.  A cut is usable
-when widening it by the engine's band-gap guarantee grows the total weight by
-at most a ``(1 + eps)^gap`` factor; the widened prefix then contains the tail
-of every arc entering the narrow prefix, which is what makes its density
-competitive.  Among all usable cuts we return the one whose exactly
-recomputed density is largest.
+Vertices are scanned from the highest load band ``L_0`` downward, and each
+band prefix ``L_0..L_j``, of weight ``W_j``, is a candidate.  It is usable
+when it widens a narrower prefix by the engine's band-gap guarantee at a
+weight cost of at most ``(1 + eps)^gap``: it then holds the tail of every arc
+entering the narrow prefix, which makes its density competitive.  We return
+the usable prefix of largest exactly recomputed density, the shallowest of
+equal ones.
 
-The scan is output-sensitive: it stops as soon as no deeper prefix can beat
-the best cut found so far.  Every copy inside a set points into one of its
-vertices, so a set's density is at most its total in-degree over
-``dup * weight``.  Bands are in load order (capped vertices sit only in the
-top band), so each band added to the prefix has lower loads than every
-vertex already in it, and that average never rises as the prefix deepens.
-Once it drops below the best density (less a ``1e-9`` relative slack for
-float rounding), every later cut loses the strict comparison, so the answer
-is exactly the full scan's.
+The narrow prefix of ``j`` is the shallowest ``i`` with
+``W_j <= (1 + eps)^gap * W_i``; weights grow with depth, so one pointer that
+only moves forward finds it.  Prefix ``j`` is usable iff
+``c_j = min(L_j + gap, L_i)`` exceeds ``L_{j+1} + gap`` (the last band always
+is), and its ``prefix_level`` is ``max(c_j - gap, 0)``.  Of the cut levels
+``c`` that keep the bands ``>= c`` and widen to the bands ``>= c - gap``,
+``c_j`` is the largest that widens to exactly prefix ``j`` from a narrow
+prefix of at least ``i``.  So a scan that tries every cut from the top and
+keeps the first strict maximum credits each prefix with ``c_j``, in the same
+order, and returns the same vertex set, density and ``prefix_level``.
+
+The scan stops as soon as no deeper prefix can beat the best so far.  Every
+copy inside a set points into one of its vertices, so a set's density is at
+most its total in-degree over ``dup * weight``.  Bands are in load order
+(capped vertices sit only in the top band), so that average never rises as
+the prefix deepens.  Once it drops below the best density (less a ``1e-9``
+relative slack for float rounding), every later prefix loses the strict
+comparison, so the answer is exactly the full scan's.
 
 Densities are reported per logical edge: stored copy counts are divided back
 by the instance's duplication factor.
@@ -23,8 +33,8 @@ by the instance's duplication factor.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from .engine import OrientationEngine
 
@@ -59,62 +69,37 @@ def extract(engine: OrientationEngine, epsilon: float) -> ExtractionResult:
         return ExtractionResult(frozenset(), 0.0, upper, 0, valid)
 
     levels = engine.layer_levels_desc()
-    neg = [-lv for lv in levels]  # ascending, for prefix lookups
-
-    def prefix_index(cut: int) -> int:
-        """Index of the deepest band >= cut, or -1 if the prefix is empty."""
-        return bisect_right(neg, -cut) - 1
-
     grow_cap = (1.0 + epsilon) ** GAP_BANDS
-    top = levels[0]
-    cuts = sorted(
-        {lv for lv in levels} | {min(lv + GAP_BANDS, top) for lv in levels},
-        reverse=True,
-    )
-
-    # Sorted members, cumulative weight and internal copy count of each band
-    # prefix scanned so far; weights summed per vertex so the certified
-    # density is free of accumulation dust
-    members: list[list[int]] = []
+    # scanned vertices in scan order and the weight of each band prefix,
+    # summed per vertex so the certified density is free of accumulation dust
+    inside: dict[int, None] = {}
     cum_w: list[float] = []
-    cum_copies: list[int] = []
-    inside: set[int] = set()
-    copies = 0
+    copies = indeg = 0  # copies and total in-degree of the scanned prefix
     wsum = 0.0
-    indeg = 0  # total in-degree of the scanned prefix
-
-    best = None  # (density, extended index, cut)
-    for cut in cuts:
-        narrow = prefix_index(cut)
-        if narrow < 0:
-            continue
+    narrow = 0
+    best = None  # (density, prefix size, cut)
+    for j, level in enumerate(levels):
+        for v in sorted(engine.layer_members(level)):
+            for nb in engine.neighbors(v):
+                if nb in inside:
+                    copies += engine.pair_copies(v, nb)
+            inside[v] = None
+            wsum += engine.weight(v)
+            indeg += engine.indeg(v)
+        cum_w.append(wsum)
+        while wsum > grow_cap * cum_w[narrow] * (1.0 + 1e-12):
+            narrow += 1
+        cut = min(level + GAP_BANDS, levels[narrow])
+        if j + 1 == len(levels) or cut - GAP_BANDS > levels[j + 1]:
+            density = copies / (dup * wsum)
+            if best is None or density > best[0]:
+                best = (density, len(inside), cut)
         if best is not None and indeg / (dup * wsum) < best[0] * (1.0 - 1e-9):
             break  # no prefix containing the scanned one can win
-        wide = prefix_index(max(cut - GAP_BANDS, 0))
-        while len(members) <= wide:
-            verts = sorted(engine.layer_members(levels[len(members)]))
-            for v in verts:
-                for nb in engine.neighbors(v):
-                    if nb in inside:
-                        copies += engine.pair_copies(v, nb)
-                inside.add(v)
-                wsum += engine.weight(v)
-                indeg += engine.indeg(v)
-            members.append(verts)
-            cum_w.append(wsum)
-            cum_copies.append(copies)
-        if cum_w[wide] > grow_cap * cum_w[narrow] * (1.0 + 1e-12):
-            continue
-        density = cum_copies[wide] / (dup * cum_w[wide])
-        if best is None or density > best[0]:
-            best = (density, wide, cut)
 
-    density, wide, cut = best
-    chosen: set[int] = set()
-    for verts in members[: wide + 1]:
-        chosen.update(verts)
+    density, size, cut = best
     return ExtractionResult(
-        vertices=frozenset(chosen),
+        vertices=frozenset(islice(inside, size)),
         certified_density=density,
         estimate_upper=upper,
         prefix_level=max(cut - GAP_BANDS, 0),

@@ -164,7 +164,7 @@ def test_c2_vwdsg_oracle():
             if step not in query_at:
                 continue
             queries += 1
-            opt = float(oracle.exact_vwdsg_density(mirror))
+            opt = oracle.exact_vwdsg(mirror)[0]
             res = extract(engine, eps)
             assert res.certified_density <= opt + 1e-9, "certificate exceeded optimum"
             scale = log_scale(n * w_max)

@@ -130,6 +130,28 @@ def test_bench_runs(tmp_path):
     assert summary["counters"]["inserts"] > 0
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--n", "1"), ("--n", "0"), ("--events", "-3"), ("--query-every", "-2"),
+     ("--eps", "nan"), ("--eps", "0"), ("--eps", "1.5")],
+)
+def test_bench_rejects_bad_options(option, value):
+    result = CliRunner().invoke(cli.main, ["bench", "--events", "5", option, value])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: {option} must be" in result.output
+    assert f"got {value}" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_bench_smallest_options_run():
+    result = CliRunner().invoke(
+        cli.main, ["bench", "--n", "2", "--events", "0", "--no-timings"]
+    )
+    assert result.exit_code == 0
+    assert json.loads(result.output.strip().split("\n")[-1])["type"] == "summary"
+
+
 def test_oracle_command(tmp_path):
     path = _write(tmp_path, "h 3 ddsg 0.2\n+ 0 1\n?\n")
     result = CliRunner().invoke(cli.main, ["oracle", "--stream", path])

@@ -27,10 +27,9 @@ def make(n, eps=0.5, weights=None, alpha=None, loop_c=LOOP_C, **kw):
 def arc_pair_record(e, u, v):
     """Copies and labels of both directions of the edge {u, v} of ``e``."""
     key = (u, v) if u < v else (v, u)
-    pair = e._pairs.get(key)
-    if pair is None:
+    uv = e._adj[key[1]].get(key[0])
+    if uv is None:
         return {"endpoints": key, "count_uv": 0, "count_vu": 0}
-    uv = pair if pair.tail == key[0] else pair.twin
     vu = uv.twin
     return {
         "endpoints": key,
@@ -44,11 +43,9 @@ def arc_pair_record(e, u, v):
 def force_label(e, tail, head, value):
     """Overwrite the label of a live direction of ``e``.  This can plant
     states the update rules would never produce."""
-    key = (tail, head) if tail < head else (head, tail)
-    pair = e._pairs.get(key)
-    if pair is None:
+    arc = e._adj[head].get(tail)
+    if arc is None:
         raise ValueError(f"no edge between {tail} and {head}")
-    arc = pair if pair.tail == tail else pair.twin
     if arc.count == 0:
         raise ValueError(f"direction {tail}->{head} has no copies")
     e._relabel(arc, value, e.params.level_of(value))
@@ -379,7 +376,7 @@ class TestDuality:
                 u, v = rng.sample(range(n), 2)
                 e.insert(u, v)
                 g.add_edge(u, v)
-            opt = float(oracle.exact_vwdsg_density(g))
+            opt = oracle.exact_vwdsg(g)[0]
             assert e.max_load() >= opt - 1e-9
 
 
@@ -541,6 +538,40 @@ def test_label_heaps_stay_compact_under_churn(monkeypatch):
         e.debug_audit()
     assert len(rebuilds) >= 10
     assert e.verify_local_optimality() == []
+
+
+def _unfile_live_in(e):
+    arc = e._adj[0][1]  # 1 -> 0, which holds the single copy
+    bucket = e._in[0][arc.label]
+    del bucket[arc]
+    if not bucket:
+        del e._in[0][arc.label]
+
+
+def _file_dead_twin(e):
+    dead = e._adj[1][0]  # 0 -> 1, which has no copies
+    engine_module._file(e._in[1], dead.label, dead, e._in_hi[1], e._in_lo[1])
+
+
+def _drop_mirror(e):
+    del e._adj[0][1]
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [(_unfile_live_in, "unfiled"), (_file_dead_twin, "without copies"),
+     (_drop_mirror, "no mirror")],
+)
+def test_debug_audit_catches_planted_faults(plant, message):
+    # a healthy engine passes; each planted fault in the label index or the
+    # adjacency map makes the audit fail
+    e = make(3)
+    e.insert(0, 1)  # a tie: the copy points at the smaller id
+    e.debug_audit()
+    assert e._adj[0][1].count == 1 and e._adj[1][0].count == 0
+    plant(e)
+    with pytest.raises(AssertionError, match=message):
+        e.debug_audit()
 
 
 def _greedy_insert_split(e, u, v, k):

@@ -5,7 +5,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densedyn import oracle
@@ -107,6 +107,58 @@ def full_scan(engine: OrientationEngine, epsilon: float) -> tuple[ExtractionResu
     return res, usable.index(best)
 
 
+class Banded:
+    """Stand-in for an engine: a fixed orientation of a small multigraph,
+    its vertices cut into load-ordered bands at arbitrary levels.  That is
+    all ``extract`` relies on, and unlike a real engine it can put a heavy
+    band right under light ones or leave wide gaps between levels."""
+
+    def __init__(self, weights, arcs, breaks, bottom, gaps, dup):
+        self.config = EngineConfig(n=len(weights), epsilon=0.5, duplication=dup)
+        self.n = len(weights)
+        self._w = weights
+        self._into = [{} for _ in weights]  # head -> tail -> copies
+        for (t, h), c in arcs.items():
+            self._into[h][t] = c
+        self._ind = [sum(into.values()) for into in self._into]
+        order = sorted(range(self.n), key=lambda v: -self._ind[v] / weights[v])
+        bands = [[order[0]]]
+        for v, new in zip(order[1:], breaks):
+            if new:
+                bands.append([])
+            bands[-1].append(v)
+        level = bottom
+        self._layers = {}
+        for band, gap in zip(reversed(bands), gaps):
+            self._layers[level] = set(band)
+            level += gap
+        self.total_copies = sum(self._ind)
+
+    def max_load(self):
+        return max(i / w for i, w in zip(self._ind, self._w))
+
+    def saturated(self):
+        return False
+
+    def layer_levels_desc(self):
+        return sorted(self._layers, reverse=True)
+
+    def layer_members(self, level):
+        return self._layers[level]
+
+    def weight(self, v):
+        return self._w[v]
+
+    def indeg(self, v):
+        return self._ind[v]
+
+    def neighbors(self, v):
+        return set(self._into[v]) | {h for h in range(self.n) if v in self._into[h]}
+
+    def pair_copies(self, u, v):
+        return self._into[v].get(u, 0) + self._into[u].get(v, 0)
+
+
 class TestExtract:
     def test_single_arc(self):
         e = make(2)
@@ -197,7 +249,7 @@ class TestGuarantees:
                 e.insert(u, v)
                 g.add_edge(u, v)
             res = extract(e, 0.25)
-            opt = float(oracle.exact_vwdsg_density(g))
+            opt = oracle.exact_vwdsg(g)[0]
             assert res.certified_density <= opt + 1e-9
             assert opt <= res.estimate_upper + 1e-9
 
@@ -217,7 +269,7 @@ class TestGuarantees:
                 u, v = rng.sample(range(n), 2)
                 e.insert(u, v, multiplicity=dup)
                 g.add_edge(u, v)
-            opt = float(oracle.exact_vwdsg_density(g))
+            opt = oracle.exact_vwdsg(g)[0]
             res = extract(e, eps)
             assert res.certified_density <= opt + 1e-9
             assert res.certified_density >= (1 - eps) * opt - 1e-9
@@ -262,6 +314,39 @@ class TestEarlyExit:
                 continue
             assert extract(e, eps) == full_scan(e, eps)[0]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([0.1, 0.25, 0.5]),
+        st.sampled_from([1, 3]),
+        st.lists(st.sampled_from([1.0, 1.25, 2.0, 3.5]), min_size=2, max_size=12),
+        st.dictionaries(
+            st.tuples(st.integers(0, 11), st.integers(0, 11)), st.integers(1, 9),
+            max_size=40,
+        ),
+        st.lists(st.booleans(), min_size=11, max_size=11),
+        st.integers(0, 3),
+        st.lists(st.integers(1, 12), min_size=12, max_size=12),
+    )
+    # two bands of equal density far apart: the shallower one must win
+    @example(0.1, 1, [1.0] * 4, {(0, 1): 1, (1, 0): 1, (2, 3): 1, (3, 2): 1},
+             [False, True] + [False] * 9, 0, [20] * 12)
+    # bands {0}, {1} and a 6-clique on 2..7, one level apart: the clique's
+    # band moves the narrow prefix two bands at once
+    @example(0.1, 1, [2.0] + [1.0] * 7,
+             {(2, 0): 2, (3, 0): 2, (4, 0): 2, (5, 1): 1, (6, 1): 1, (7, 1): 1,
+              **{(2 + i, 2 + (i + d) % 6): 1 for i in range(6) for d in (1, 2)},
+              **{(2 + i, 5 + i): 1 for i in range(3)}},
+             [True, True] + [False] * 9, 8, [1] * 12)
+    def test_any_load_ordered_banding_matches_full_scan(self, eps, dup, weights,
+                                                        arcs, breaks, bottom, gaps):
+        # a heavy band under light ones moves the narrow prefix several bands
+        # at once, and level gaps on both sides of GAP_BANDS reach both arms
+        # of min(L_j + GAP_BANDS, L_i)
+        n = len(weights)
+        arcs = {(t % n, h % n): c for (t, h), c in arcs.items() if t % n != h % n}
+        engine = Banded(weights, arcs, breaks, bottom, gaps, dup)
+        assert extract(engine, eps) == full_scan(engine, eps)[0]
+
     def test_saturated_matches_full_scan(self):
         e = make(6, eps=0.5, threshold=12.0, duplication=3)
         rng = random.Random(4)
@@ -271,20 +356,39 @@ class TestEarlyExit:
             assert extract(e, 0.5) == full_scan(e, 0.5)[0]
         assert e.saturated()
 
-    @pytest.mark.parametrize("seed", [0, 4, 6])
-    def test_deep_winner_matches_full_scan(self, seed):
+    @pytest.mark.parametrize(
+        "seed, n, dup, hot, hot_p, delete_p, updates, every",
+        [pytest.param(s, 24, 8, 4, 0.5, 0.0, 60, 1, id=str(s)) for s in (0, 4, 6)]
+        # the benchmark's band counts: a 20-vertex core in n = 120 at the
+        # duplication factor (None), with deletes; it reaches over 50 bands
+        + [pytest.param(1, 120, None, 20, 0.6, 0.3, 800, 4, id="n120")],
+    )
+    def test_deep_winner_matches_full_scan(self, seed, n, dup, hot, hot_p,
+                                           delete_p, updates, every):
         # a hot core inside a sparse weighted graph; on these seeds a cut
-        # below the first usable one sometimes wins, so the scan must go on
+        # below the first usable one sometimes wins, so the scan must go on,
+        # and some winners widen more than GAP_BANDS bands below the top
         rng = random.Random(seed)
-        n, eps, dup = 24, 0.5, 8
+        eps = 0.5
         w = [rng.choice([1.0, 1.25, 2.0, 3.5]) for _ in range(n)]
+        dup = dup or duplication_factor(n * max(w), eps)
         e = make(n, eps=eps, weights=w, duplication=dup)
-        deep = 0
-        for _ in range(60):
-            pool = 4 if rng.random() < 0.5 else n
-            u, v = rng.sample(range(pool), 2)
-            e.insert(u, v, rng.randint(1, 3) * dup)
+        live = []
+        deep = low = 0
+        for step in range(1, updates + 1):
+            if delete_p and live and rng.random() < delete_p:
+                u, v, k = live.pop(rng.randrange(len(live)))
+                e.delete(u, v, k)
+            else:
+                pool = hot if rng.random() < hot_p else n
+                u, v = rng.sample(range(pool), 2)
+                k = rng.randint(1, 3) * dup
+                e.insert(u, v, k)
+                live.append((u, v, k))
+            if step % every:
+                continue
             ref, rank = full_scan(e, eps)
             assert extract(e, eps) == ref
             deep += rank > 0
-        assert deep > 0
+            low += ref.prefix_level < e.layer_levels_desc()[0] - GAP_BANDS
+        assert deep > 0 and low > 0
