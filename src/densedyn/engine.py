@@ -3,9 +3,9 @@
 Maintains an integral orientation of an undirected multigraph over a fixed
 vertex set so that no arc points at a vertex whose (thresholded) load sits
 more than a few bands above its tail's.  Each arc direction carries a label,
-a snapshot of the head's load taken the last time the arc was touched;
-rebalancing decisions read labels instead of live loads so that one load
-change never fans out to every incident arc.
+the head's band at the time the arc was last touched; rebalancing decisions
+read labels instead of live bands so that one load change never fans out to
+every incident arc.
 
 Parallel copies of an edge share one record per direction: a multiplicity
 counter plus a single label.  ``_adj[v][u]`` is the direction u->v, and an
@@ -17,19 +17,18 @@ endpoints.  The work per update therefore does not grow with the number of
 copies.  A layer index (vertices bucketed by load band) supports peak-load
 queries and prefix extraction.
 
-The label index files each vertex's incoming directions by label value and
-its outgoing directions by label band, in plain dicts of insertion-ordered
-buckets; a direction is filed exactly while its count is positive.
-Rebalancing only ever reads extreme keys: the lowest and highest incoming
-label and the highest outgoing band.  So instead of keeping the keys sorted,
-each dict has lazy heaps of them, a min-heap and a max-heap for incoming
-labels and a max-heap for outgoing bands.  A key is pushed when its bucket is
-created and popped once it reaches a top after its bucket emptied; a heap is
-rebuilt from the live keys once it holds more than about twice as many.  A
-heap's top live key is exactly the extreme key a sorted map gives, and the
-first arc of a bucket is the one filed earliest either way, so every scan
-picks the same arc in the same order and every decision, counter and answer
-is the same as with a sorted map.
+The label index files each vertex's incoming and outgoing directions by
+label band, in plain dicts of insertion-ordered buckets; a direction is filed
+exactly while its count is positive.  Rebalancing only ever reads extreme
+keys: the lowest and highest incoming band and the highest outgoing band.  So
+instead of keeping the keys sorted, each dict has lazy heaps of them, a
+min-heap and a max-heap for incoming bands and a max-heap for outgoing ones.
+A key is pushed when its bucket is created and popped once it reaches a top
+after its bucket emptied; a heap is rebuilt from the live keys once it holds
+more than about twice as many.  A heap's top live key is exactly the extreme
+key a sorted map gives, and the first arc of a bucket is the one filed
+earliest either way, so every scan picks the same arc in the same order and
+every decision, counter and answer is the same as with a sorted map.
 
 The analysis fixes four tuning constants, and this module is their only
 home: ``ALPHA_C`` (band width), ``LOOP_C`` (arc-scan budget), ``DUP_C`` (edge
@@ -110,15 +109,15 @@ class EngineConfig:
 
 
 class _Arc:
-    """One direction of an undirected edge: multiplicity plus shared label."""
+    """One direction of an undirected edge: multiplicity plus the label shared
+    by its copies, the band its head had when the direction was last touched."""
 
-    __slots__ = ("tail", "head", "count", "label", "label_level", "twin")
+    __slots__ = ("tail", "head", "count", "label_level", "twin")
 
     def __init__(self, tail: int, head: int):
         self.tail = tail
         self.head = head
         self.count = 0
-        self.label = 0.0
         self.label_level = 0
         self.twin: _Arc = None  # linked right after construction
 
@@ -247,10 +246,10 @@ class OrientationEngine:
         # bucket values are insertion-ordered dicts keyed by arc record, so
         # replay order (hence every report) is deterministic; the heaps are
         # the lazy key heaps of the module docstring
-        self._in = [{} for _ in range(n)]      # label value -> arcs
-        self._in_lo = [[] for _ in range(n)]   # min-heap of label values
-        self._in_hi = [[] for _ in range(n)]   # max-heap of -label values
-        self._out = [{} for _ in range(n)]     # label band  -> arcs
+        self._in = [{} for _ in range(n)]      # label band -> arcs
+        self._in_lo = [[] for _ in range(n)]   # min-heap of label bands
+        self._in_hi = [[] for _ in range(n)]   # max-heap of -label bands
+        self._out = [{} for _ in range(n)]     # label band -> arcs
         self._out_hi = [[] for _ in range(n)]  # max-heap of -label bands
         self._adj: list[dict[int, _Arc]] = [{} for _ in range(n)]  # head -> tail -> arc
         self._layers: dict[int, set[int]] = {0: set(range(n))}
@@ -303,11 +302,11 @@ class OrientationEngine:
         return 0 if arc is None else arc.count + arc.twin.count
 
     def iter_arcs(self):
-        """Yield (tail, head, count, label, label_level) for live directions."""
+        """Yield (tail, head, count, label_level) for live directions."""
         for into in self._adj:
             for a in into.values():
                 if a.count > 0:
-                    yield a.tail, a.head, a.count, a.label, a.label_level
+                    yield a.tail, a.head, a.count, a.label_level
 
     def layer_levels_desc(self) -> list[int]:
         return sorted(self._layers, reverse=True)
@@ -326,7 +325,7 @@ class OrientationEngine:
         rebalancing in between, each copy going toward the smaller
         thresholded load (ties toward the smaller id).  Each endpoint's count
         and band are updated once, each direction that received copies is
-        labeled with its head's new load, and one rebalancing pass
+        labeled with its head's new band, and one rebalancing pass
         (:meth:`_settle`) then starts from the endpoints that gained copies.
         """
         self._check_pair(u, v)
@@ -348,7 +347,7 @@ class OrientationEngine:
                 base[head] = self._lvl[head]
                 arc = self._direction(tail, head)
                 self._shift(head, c)
-                self._relabel(arc, self.thresholded_load(head), self._lvl[head])
+                self._relabel(arc, self._lvl[head])
                 arc.count += c
         self._settle(list(base), base, {}, "max_chain_inc")
 
@@ -463,7 +462,6 @@ class OrientationEngine:
             "tail": arc.tail,
             "head": arc.head,
             "count": arc.count,
-            "label": arc.label,
             "label_level": arc.label_level,
             "got": got,
             "base": base,
@@ -472,7 +470,7 @@ class OrientationEngine:
     def snapshot(self) -> tuple[dict[int, float], list[tuple[int, int, int]]]:
         """Thresholded loads plus live (tail, head, count) directions."""
         loads = {v: self.thresholded_load(v) for v in range(self.config.n)}
-        arcs = [(t, h, c) for t, h, c, _, _ in self.iter_arcs()]
+        arcs = [(t, h, c) for t, h, c, _ in self.iter_arcs()]
         return loads, arcs
 
     # ------------------------------------------------------------------
@@ -491,28 +489,23 @@ class OrientationEngine:
         arc.count -= c
         if arc.count == 0:
             h, t = arc.head, arc.tail
-            _unfile(self._in[h], arc.label, arc, self._in_hi[h], self._in_lo[h])
+            _unfile(self._in[h], arc.label_level, arc, self._in_hi[h], self._in_lo[h])
             _unfile(self._out[t], arc.label_level, arc, self._out_hi[t])
 
-    def _relabel(self, arc: _Arc, value: float, lvl: int) -> None:
-        """Set the direction's shared label, keeping both lookup maps honest.
-        A direction is filed exactly while it has copies, so one with none
-        is filed here, and its caller adds its copies right after."""
+    def _relabel(self, arc: _Arc, band: int) -> None:
+        """Set the direction's shared label to ``band``, keeping both label
+        maps honest.  A direction is filed exactly while it has copies, so one
+        with none is filed here, and its caller adds its copies right after.
+        A live direction whose label does not change keeps its place."""
         h, t = arc.head, arc.tail
         if arc.count:
-            if value != arc.label:
-                in_map, hi, lo = self._in[h], self._in_hi[h], self._in_lo[h]
-                _unfile(in_map, arc.label, arc, hi, lo)
-                _file(in_map, value, arc, hi, lo)
-            if lvl != arc.label_level:
-                out_map, hi = self._out[t], self._out_hi[t]
-                _unfile(out_map, arc.label_level, arc, hi)
-                _file(out_map, lvl, arc, hi)
-        else:
-            _file(self._in[h], value, arc, self._in_hi[h], self._in_lo[h])
-            _file(self._out[t], lvl, arc, self._out_hi[t])
-        arc.label = value
-        arc.label_level = lvl
+            if band == arc.label_level:
+                return
+            _unfile(self._in[h], arc.label_level, arc, self._in_hi[h], self._in_lo[h])
+            _unfile(self._out[t], arc.label_level, arc, self._out_hi[t])
+        _file(self._in[h], band, arc, self._in_hi[h], self._in_lo[h])
+        _file(self._out[t], band, arc, self._out_hi[t])
+        arc.label_level = band
 
     def _tload(self, v: int, ind: int) -> float:
         """Thresholded load of ``v`` were its in-degree ``ind``."""
@@ -549,14 +542,14 @@ class OrientationEngine:
 
     def _move(self, arc: _Arc, m: int) -> None:
         """Reorient ``m`` copies of tail->head to head->tail, labeling the
-        receiving direction with the tail's new load."""
+        receiving direction with the tail's new band."""
         self.stats["flips"] += 1
         self.stats["copies_moved"] += m
         self._drop(arc, m)
         self._shift(arc.head, -m)
         tail = arc.tail
         self._shift(tail, m)
-        self._relabel(arc.twin, self.thresholded_load(tail), self._lvl[tail])
+        self._relabel(arc.twin, self._lvl[tail])
         arc.twin.count += m
 
     def _move_layer(self, v: int, old: int, new: int) -> None:
@@ -591,10 +584,11 @@ class OrientationEngine:
           ``x`` is evened out with ``x``.  Otherwise, if ``x`` still owes
           copies, up to that many come home as long as ``x`` ends at most one
           band above the head.  Otherwise only the label is stale, and it
-          gets the head's load.
+          gets the head's band.
         * Flip: incoming directions labeled two or more bands below ``x`` are
-          scanned cheapest first.  A tail also two or more bands below is
-          evened out with ``x``; any other stale label is refreshed.
+          scanned lowest band first, earliest filed within a band.  A tail
+          also two or more bands below is evened out with ``x``; any other
+          stale label is refreshed.
 
         Then stale-high labels on incoming directions are refreshed, highest
         first.  Each scan stops at the first fresh label or after ``budget``
@@ -604,7 +598,7 @@ class OrientationEngine:
 
         Each scan step reads one extreme key off a lazy heap of the label
         index (the highest outgoing band, the lowest or the highest incoming
-        label) and takes the earliest-filed arc of its bucket.  These are the
+        band) and takes the earliest-filed arc of its bucket.  These are the
         key and arc a sorted map would give, so the order of decisions does
         not depend on how the index is kept.
         """
@@ -645,7 +639,7 @@ class OrientationEngine:
                         if not due or lx > ly + 1:
                             # the head is not above x: only the label is stale
                             stats["label_resets"] += 1
-                            self._relabel(arc, self.thresholded_load(y), ly)
+                            self._relabel(arc, ly)
                             continue
                         # x still owes copies a deletion took: pull them home
                         # as long as x ends at most one band above the head
@@ -659,7 +653,6 @@ class OrientationEngine:
                     touch(y, d + 1)
                     self._move(arc, m)
                 moved = False
-                load_x = None
                 for _ in range(budget):
                     if not in_map:
                         break
@@ -676,13 +669,10 @@ class OrientationEngine:
                         moved = True
                         break
                     stats["label_resets"] += 1
-                    if load_x is None:
-                        load_x = self.thresholded_load(x)
-                    self._relabel(arc, load_x, lx)
+                    self._relabel(arc, lx)
                 if not moved:
                     break
             lx = lvl[x]
-            load_x = None
             for _ in range(budget):
                 if not in_map:
                     break
@@ -691,9 +681,7 @@ class OrientationEngine:
                 if arc.label_level < lx + 2:
                     break
                 stats["label_resets"] += 1
-                if load_x is None:
-                    load_x = self.thresholded_load(x)
-                self._relabel(arc, load_x, lx)
+                self._relabel(arc, lx)
         if deepest > stats[chain]:
             stats[chain] = deepest
 
@@ -713,12 +701,10 @@ class OrientationEngine:
                 ind[v] += a.count
                 copies += a.count
                 if a.count > 0:
-                    assert a in self._in[v].get(a.label, ()), "live arc unfiled"
-                    assert a in self._out[u].get(a.label_level, ()), "live arc unfiled"
-                    expect = self.params.level_of(a.label)
-                    assert a.label_level == expect, (
-                        f"label level drift: {a.label_level} vs {expect}"
-                    )
+                    lb = a.label_level
+                    assert 0 <= lb <= self.params.top_level, f"label {lb} out of range"
+                    assert a in self._in[v].get(lb, ()), "live arc unfiled"
+                    assert a in self._out[u].get(lb, ()), "live arc unfiled"
         assert copies == self._copies, "copy counter drift"
         for v in range(n):
             assert ind[v] == self._ind[v], f"indeg drift at {v}"
@@ -733,15 +719,12 @@ class OrientationEngine:
             assert members, f"empty layer bucket {level} retained"
         assert self._top == max(self._layers), "top layer drift"
         for v in range(n):
-            for label, bucket in self._in[v].items():
-                assert bucket, f"empty label bucket {label} retained at {v}"
-                for a in bucket:
-                    assert a.count > 0, f"arc without copies filed at {v}"
-                    assert a.head == v and a.label == label
-            for band, bucket in self._out[v].items():
-                assert bucket, f"empty band bucket {band} retained at {v}"
-                for a in bucket:
-                    assert a.tail == v and a.count > 0 and a.label_level == band
+            for keys, end in ((self._in[v], "head"), (self._out[v], "tail")):
+                for band, bucket in keys.items():
+                    assert bucket, f"empty label bucket {band} retained at {v}"
+                    for a in bucket:
+                        assert a.count > 0, f"arc without copies filed at {v}"
+                        assert getattr(a, end) == v and a.label_level == band
             for keys, heap, sign in ((self._in[v], self._in_lo[v], 1),
                                      (self._in[v], self._in_hi[v], -1),
                                      (self._out[v], self._out_hi[v], -1)):

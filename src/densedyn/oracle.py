@@ -67,9 +67,6 @@ class SmallGraph:
         if self.edges[key] == 0:
             del self.edges[key]
 
-    def edge_count(self) -> int:
-        return sum(self.edges.values())
-
 
 def _subset_bits(n: int) -> np.ndarray:
     """(n, 2^n) matrix whose column m is the indicator vector of mask m."""

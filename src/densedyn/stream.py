@@ -416,16 +416,14 @@ def random_stream_text(
     events: int,
     seed: int,
     query_every: int = 0,
-    pool_target: int | None = None,
 ) -> str:
     """Seeded random update stream in the line format above.
 
-    Inserts and deletes hover around ``pool_target`` live edges (default
-    ~n**1.5), with a query every ``query_every`` updates when requested.
+    Inserts and deletes hover around ``max(4, int(n**1.5))`` live edges, with a
+    query every ``query_every`` updates when requested.
     """
     rng = random.Random(seed)
-    if pool_target is None:
-        pool_target = max(4, int(n**1.5))
+    pool_target = max(4, int(n**1.5))
     lines = [f"h {n} {mode} {eps}"]
     live: list[tuple[int, int]] = []
     live_set: set[tuple[int, int]] = set()

@@ -25,7 +25,7 @@ def make(n, eps=0.5, weights=None, alpha=None, loop_c=LOOP_C, **kw):
 
 
 def arc_pair_record(e, u, v):
-    """Copies and labels of both directions of the edge {u, v} of ``e``."""
+    """Copies and label bands of both directions of the edge {u, v} of ``e``."""
     key = (u, v) if u < v else (v, u)
     uv = e._adj[key[1]].get(key[0])
     if uv is None:
@@ -35,20 +35,20 @@ def arc_pair_record(e, u, v):
         "endpoints": key,
         "count_uv": uv.count,
         "count_vu": vu.count,
-        "label_uv": uv.label if uv.count else None,
-        "label_vu": vu.label if vu.count else None,
+        "label_uv": uv.label_level if uv.count else None,
+        "label_vu": vu.label_level if vu.count else None,
     }
 
 
-def force_label(e, tail, head, value):
-    """Overwrite the label of a live direction of ``e``.  This can plant
+def force_label(e, tail, head, band):
+    """Overwrite the label band of a live direction of ``e``.  This can plant
     states the update rules would never produce."""
     arc = e._adj[head].get(tail)
     if arc is None:
         raise ValueError(f"no edge between {tail} and {head}")
     if arc.count == 0:
         raise ValueError(f"direction {tail}->{head} has no copies")
-    e._relabel(arc, value, e.params.level_of(value))
+    e._relabel(arc, band)
 
 
 class TestConfig:
@@ -97,7 +97,7 @@ class TestInsert:
         assert rec["count_vu"] == 1  # direction 1 -> 0
         assert rec["count_uv"] == 0
         assert e.indeg(0) == 1
-        assert rec["label_vu"] == 1.0
+        assert rec["label_vu"] == e.params.level_of(1.0)
         assert not e.verify_local_optimality()
         e.debug_audit()
 
@@ -215,7 +215,7 @@ class TestRebalancing:
         e = make(2, alpha=0.5, weights=[1.0, 4.0])
         e.insert(0, 1, multiplicity=8)
         assert e.indeg(0) == 2
-        force_label(e, 0, 1, 8.0)
+        force_label(e, 0, 1, e.params.level_of(8.0))
         flips = e.stats["flips"]
         e.delete(0, 1)
         assert e.stats["flips"] == flips + 1
@@ -235,15 +235,15 @@ class TestRebalancing:
         e.insert(0, 7, multiplicity=160)
         assert e.level(0) == 2
         for j in range(1, 7):
-            force_label(e, j, 0, 40.0)
+            force_label(e, j, 0, e.params.level_of(40.0))
         stale_before = sum(
-            1 for t, h, c, _, lb in e.iter_arcs() if h == 0 and lb >= 8
+            1 for t, h, c, lb in e.iter_arcs() if h == 0 and lb >= 8
         )
         assert stale_before == 6
         resets = e.stats["label_resets"]
         e.delete(0, 1)  # removes the copy oriented into 0 and rebalances
         assert e.stats["label_resets"] == resets + e.budget
-        stale_after = sum(1 for t, h, c, _, lb in e.iter_arcs() if h == 0 and lb >= 8)
+        stale_after = sum(1 for t, h, c, lb in e.iter_arcs() if h == 0 and lb >= 8)
         assert stale_after == stale_before - 1 - e.budget  # one left with the copy
 
     def test_chain_depth_bounded_by_band_count(self):
@@ -327,7 +327,7 @@ class TestVerify:
         e = make(2)
         e.insert(0, 1)
         # label five bands above everything
-        force_label(e, 1, 0, 30.0)
+        force_label(e, 1, 0, e.level(0) + 5)
         report = e.verify_local_optimality()
         kinds = {r["kind"] for r in report}
         assert "label above head-band" in kinds
@@ -542,15 +542,25 @@ def test_label_heaps_stay_compact_under_churn(monkeypatch):
 
 def _unfile_live_in(e):
     arc = e._adj[0][1]  # 1 -> 0, which holds the single copy
-    bucket = e._in[0][arc.label]
+    bucket = e._in[0][arc.label_level]
     del bucket[arc]
     if not bucket:
-        del e._in[0][arc.label]
+        del e._in[0][arc.label_level]
+
+
+def _misfile_live_in(e):
+    arc = e._adj[0][1]
+    engine_module._unfile(e._in[0], arc.label_level, arc, e._in_hi[0], e._in_lo[0])
+    engine_module._file(e._in[0], arc.label_level + 1, arc, e._in_hi[0], e._in_lo[0])
+
+
+def _label_out_of_range(e):
+    force_label(e, 1, 0, e.params.top_level + 1)
 
 
 def _file_dead_twin(e):
     dead = e._adj[1][0]  # 0 -> 1, which has no copies
-    engine_module._file(e._in[1], dead.label, dead, e._in_hi[1], e._in_lo[1])
+    engine_module._file(e._in[1], dead.label_level, dead, e._in_hi[1], e._in_lo[1])
 
 
 def _drop_mirror(e):
@@ -559,7 +569,8 @@ def _drop_mirror(e):
 
 @pytest.mark.parametrize(
     "plant, message",
-    [(_unfile_live_in, "unfiled"), (_file_dead_twin, "without copies"),
+    [(_unfile_live_in, "unfiled"), (_misfile_live_in, "unfiled"),
+     (_label_out_of_range, "out of range"), (_file_dead_twin, "without copies"),
      (_drop_mirror, "no mirror")],
 )
 def test_debug_audit_catches_planted_faults(plant, message):
@@ -572,6 +583,32 @@ def test_debug_audit_catches_planted_faults(plant, message):
     plant(e)
     with pytest.raises(AssertionError, match=message):
         e.debug_audit()
+
+
+def test_relabel_to_same_band_keeps_place():
+    # heavy vertex 0 takes three incoming directions in one band; relabeling
+    # each to that band leaves every bucket order and heap as it was
+    e = make(4, weights=[100.0, 1.0, 1.0, 1.0])
+    for u, v in ((1, 2), (2, 3), (1, 3)):
+        e.insert(u, v, 2)
+    for j in (1, 2, 3):
+        e.insert(0, j)
+    band = e.level(0)
+    bucket = e._in[0][band]
+    assert [a.tail for a in bucket] == [1, 2, 3]
+
+    def index_state():
+        return [
+            [[list(b) for b in keys.values()] for keys in (e._in[v], e._out[v])]
+            + [list(e._in_lo[v]), list(e._in_hi[v]), list(e._out_hi[v])]
+            for v in range(e.n)
+        ]
+
+    before = index_state()
+    for arc in list(bucket):
+        e._relabel(arc, band)
+        assert index_state() == before
+    e.debug_audit()
 
 
 def _greedy_insert_split(e, u, v, k):

@@ -3,8 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from densedyn import oracle
+from densedyn.engine import duplication_factor
 from densedyn.extract import extract
 from densedyn.reducer import DirectedDensest, DirectedQueryResult, GridParams, ratio_grid
 
@@ -308,3 +312,81 @@ class TestBestTSanity:
                 continue
             opt, s, t = oracle.exact_ddsg(mirror)
             assert opt >= best_t_sanity(s, t) - 1e-9
+
+
+class DirectedMachine(RuleBasedStateMachine):
+    """``DirectedDensest`` against an ``oracle.SmallGraph`` mirror, with
+    rejected updates mixed in: self-loops, absent deletes, out-of-range
+    vertices and, under a capacity of a few edges, inserts over capacity."""
+
+    @initialize(n=st.integers(2, 8), eps=st.sampled_from([0.2, 0.5]),
+                max_edges=st.sampled_from([None, 1, 3]))
+    def start(self, n, eps, max_edges):
+        params = GridParams()
+        if max_edges is not None:
+            params = GridParams(capacity=max_edges * duplication_factor(n, eps))
+        self.g = DirectedDensest(n, eps, params)
+        self.ref = oracle.SmallGraph(n=n, directed=True)
+        self.max_edges = max_edges
+
+    def state(self):
+        return self.g.directed_edges(), [(e.snapshot(), dict(e.stats)) for e in self.g.engines()]
+
+    def rejected(self, update, u, v):
+        before = self.state()
+        with pytest.raises(ValueError):
+            update(u, v)
+        assert self.state() == before
+
+    @rule(u=st.integers(0, 7), v=st.integers(0, 7))
+    def insert(self, u, v):
+        u, v = u % self.g.n, v % self.g.n
+        full = self.max_edges is not None and sum(self.ref.edges.values()) == self.max_edges
+        if u == v or full:
+            self.rejected(self.g.insert_directed, u, v)
+        else:
+            self.g.insert_directed(u, v)
+            self.ref.add_edge(u, v)
+
+    @rule(u=st.integers(0, 7), v=st.integers(0, 7))
+    def delete_any(self, u, v):
+        u, v = u % self.g.n, v % self.g.n
+        if u == v or not self.ref.edges[(u, v)]:
+            self.rejected(self.g.delete_directed, u, v)
+        else:
+            self.g.delete_directed(u, v)
+            self.ref.remove_edge(u, v)
+
+    @precondition(lambda self: self.ref.edges)
+    @rule(data=st.data())
+    def delete_present(self, data):
+        u, v = data.draw(st.sampled_from(sorted(self.ref.edges)))
+        self.g.delete_directed(u, v)
+        self.ref.remove_edge(u, v)
+
+    @rule(u=st.integers(0, 7), below=st.booleans(), first=st.booleans(), insert=st.booleans())
+    def out_of_range(self, u, below, first, insert):
+        u, bad = u % self.g.n, -1 if below else self.g.n
+        update = self.g.insert_directed if insert else self.g.delete_directed
+        self.rejected(update, *((bad, u) if first else (u, bad)))
+
+    @invariant()
+    def mirror_matches(self):
+        assert self.g.directed_edges() == dict(self.ref.edges)
+
+    @invariant()
+    def query_never_exceeds_optimum(self):
+        opt, _, _ = oracle.exact_ddsg(self.ref)
+        assert self.g.query().density_estimate <= opt + 1e-9
+
+    @invariant()
+    def engines_healthy(self):
+        for e in self.g.engines():
+            e.debug_audit()
+            assert e.verify_local_optimality() == []
+            assert e.stats["max_chain_inc"] <= e.level_count
+            assert e.stats["max_chain_dec"] <= e.level_count
+
+
+TestDirectedMachine = DirectedMachine.TestCase
+TestDirectedMachine.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
