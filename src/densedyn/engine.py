@@ -30,9 +30,10 @@ key a sorted map gives, and the first arc of a bucket is the one filed
 earliest either way, so every scan picks the same arc in the same order and
 every decision, counter and answer is the same as with a sorted map.
 
-The analysis fixes four tuning constants, and this module is their only
+The analysis fixes five tuning constants, and this module is their only
 home: ``ALPHA_C`` (band width), ``LOOP_C`` (arc-scan budget), ``DUP_C`` (edge
-duplication) and ``THRESHOLD_C`` (load cap of a low-density instance).
+duplication), ``THRESHOLD_C`` (load cap of a low-density instance) and
+``GRID_SHARE`` (the share of eps spent on the directed side-ratio grid).
 
 Instances are single-threaded; distinct instances share nothing.
 """
@@ -57,6 +58,9 @@ LOOP_C = 4
 DUP_C = 4.0
 # Scales the low-density load cap, THRESHOLD_C * log2(scale)^2 / eps^4.
 THRESHOLD_C = 4.0
+# Share of eps the directed reduction's side-ratio guess may lose: every
+# ratio lies within a factor q of a guess, q + 1/q = 2 / (1 - GRID_SHARE * eps).
+GRID_SHARE = 0.25
 # A lazy key heap is rebuilt once it holds more than 2 * live keys + this.
 HEAP_SLACK = 8
 
@@ -295,6 +299,15 @@ class OrientationEngine:
 
     def neighbors(self, v: int):
         return self._adj[v].keys()
+
+    def copies_to(self, v: int, members) -> int:
+        """Total copies of the edges between ``v`` and the vertices in
+        ``members``, summed in one pass over ``v``'s arcs."""
+        total = 0
+        for u, arc in self._adj[v].items():
+            if u in members:
+                total += arc.count + arc.twin.count
+        return total
 
     def pair_copies(self, u: int, v: int) -> int:
         """Total copies of the undirected edge {u, v} currently stored."""

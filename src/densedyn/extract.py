@@ -80,9 +80,7 @@ def extract(engine: OrientationEngine, epsilon: float) -> ExtractionResult:
     best = None  # (density, prefix size, cut)
     for j, level in enumerate(levels):
         for v in sorted(engine.layer_members(level)):
-            for nb in engine.neighbors(v):
-                if nb in inside:
-                    copies += engine.pair_copies(v, nb)
+            copies += engine.copies_to(v, inside)
             inside[v] = None
             wsum += engine.weight(v)
             indeg += engine.indeg(v)

@@ -4,8 +4,9 @@ Exhaustive maximization of undirected weighted density ``|E(S)| / w(S)`` and
 directed density ``|E(S,T)| / sqrt(|S||T|)``, plus the doubled-graph
 construction that converts the directed problem into a vertex-weighted
 undirected one.  Everything here is deliberately independent of the dynamic
-data structures: densities are compared in exact integer/rational arithmetic
-so tests never argue with floating point.
+data structures, except the guess grid's step, which it takes from the
+reducer so that both build the same grid.  Densities are compared in exact
+integer/rational arithmetic so tests never argue with floating point.
 
 Only intended for desk-scale instances (see the caps); used by tests and the
 CLI verify/oracle commands.
@@ -19,6 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+from .reducer import ratio_step_squared
 
 UNDIRECTED_CAP = 16
 DIRECTED_CAP = 8
@@ -297,15 +300,18 @@ def _best_reduced(
 def reduction_grid_squared(n: int, eps: Fraction) -> list[Fraction]:
     """Squares of the geometric guess grid spanning [1/sqrt(n), sqrt(n)].
 
-    Entries are ``(1+eps)^(2j) / n`` while below ``n``, with ``n`` (the square
-    of the clamped top guess) appended exactly.
+    Entries are ``s^j / n`` while below ``n``, with ``n`` (the square of the
+    clamped top guess) appended exactly.  The step ``s`` is the reducer's
+    exact ``ratio_step_squared``, so this grid is the one ``ratio_grid``
+    builds in floats: every ratio in range is within a factor ``q`` of a
+    guess, which loses at most ``1 - 2/(q + 1/q) = GRID_SHARE * eps``.
     """
     if n < 1:
         raise ValueError("n must be positive")
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    step = (1 + eps) ** 2
+    step = ratio_step_squared(float(eps))
     out = [Fraction(1, n)]
     while out[-1] * step < n:
         out.append(out[-1] * step)

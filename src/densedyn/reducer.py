@@ -2,10 +2,14 @@
 
 Every directed edge (u, v) is mirrored as the undirected edge {left copy of
 u, right copy of v} in one bipartite weighted instance per guess ``t`` of the
-optimal side ratio sqrt(|S|/|T|).  Guesses form a geometric (1 + eps) grid
-over [1/sqrt(n), sqrt(n)], so some guess is always within (1 +/- eps) of the
-truth and the corresponding instance's weighted optimum is within (1 - eps)
-of the directed optimum.
+optimal side ratio sqrt(|S|/|T|).  A guess off that ratio by a factor ``q``
+scales the pair's density by ``2 / (q + 1/q)``, since
+``|S|/c + c|T| >= 2 sqrt(|S||T|)``: it loses ``1 - 2/(q + 1/q)``, about
+``(q - 1)^2 / 2``, which is second order in the step.  Guesses form a
+geometric grid over [1/sqrt(n), sqrt(n)] that spends ``GRID_SHARE * eps`` of
+the error budget: its step keeps every ratio within the factor ``q`` that
+loses exactly that share, so the best guess's weighted optimum is within
+``(1 - GRID_SHARE * eps)`` of the directed optimum.
 
 Each guess runs two engines: a "low" one with duplicated edges and a load
 cap, accurate until it saturates, and an uncapped "high" one without
@@ -17,10 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .engine import (
     DEFAULT_CAPACITY,
     DUP_C,
+    GRID_SHARE,
     INF,
     THRESHOLD_C,
     EngineConfig,
@@ -31,22 +37,41 @@ from .engine import (
 from .extract import extract
 
 
+def ratio_step_squared(eps: float) -> Fraction:
+    """The step of the guess grid in ``t^2``, as an exact rational.
+
+    ``q`` solves ``q + 1/q = 2 / (1 - GRID_SHARE * eps)``, so a guess within
+    a factor ``q`` of the true side ratio loses at most ``GRID_SHARE * eps``.
+    A ``t^2`` step of ``q^4`` keeps every ratio between two guesses within
+    that factor of one of them.  The step is ``q^4`` rounded down to a
+    multiple of ``2^-20``, so float rounding in ``q`` cannot widen it, and
+    its float is exact.
+    """
+    c = 2.0 / (1.0 - GRID_SHARE * eps)
+    q = (c + math.sqrt((c - 2.0) * (c + 2.0))) / 2.0
+    return Fraction(math.floor(q**4 * 2**20), 2**20)
+
+
 def ratio_grid(n: int, eps: float) -> list[float]:
     """Geometric guess grid spanning [1/sqrt(n), sqrt(n)] inclusively.
 
-    Entries are (1 + eps)^j / sqrt(n) while strictly below sqrt(n); the top
-    endpoint is appended exactly.
+    Entries are ``sqrt(s^j) / sqrt(n)`` for the step
+    ``s = ratio_step_squared(eps)`` while strictly below sqrt(n); the top
+    endpoint is appended exactly.  Every ratio in range is within that
+    step's factor ``q`` of some entry, which then loses at most
+    ``1 - 2/(q + 1/q) = GRID_SHARE * eps``.
     """
     if n < 1:
         raise ValueError("n must be positive")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     root = math.sqrt(n)
+    step = float(ratio_step_squared(eps))
     out = []
     j = 0
-    # same stopping rule as the exact-rational grid: (1+eps)^(2j) < n^2
-    while (1.0 + eps) ** (2 * j) < n * n:
-        out.append((1.0 + eps) ** j / root)
+    # same stopping rule as the exact-rational grid: s^j < n^2
+    while step**j < n * n:
+        out.append(math.sqrt(step**j) / root)
         j += 1
     if not out or out[-1] != root:
         out.append(root)

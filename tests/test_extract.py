@@ -158,6 +158,9 @@ class Banded:
     def pair_copies(self, u, v):
         return self._into[v].get(u, 0) + self._into[u].get(v, 0)
 
+    def copies_to(self, v, members):
+        return sum(self.pair_copies(u, v) for u in self.neighbors(v) if u in members)
+
 
 class TestExtract:
     def test_single_arc(self):

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densedyn import oracle
+from densedyn.engine import GRID_SHARE
+from densedyn.reducer import ratio_step_squared
 
 
 def _directed(n, edges):
@@ -159,7 +161,7 @@ class TestReductionFacts:
 class TestGrid:
     def test_grid_example(self):
         grid = oracle.reduction_grid_squared(4, Fraction(1, 2))
-        assert len(grid) == 5
+        assert len(grid) == 3
         assert grid[0] == Fraction(1, 4)
         assert grid[-1] == Fraction(4)
 
@@ -168,9 +170,23 @@ class TestGrid:
 
     def test_spacing(self):
         eps = Fraction(1, 5)
+        step = ratio_step_squared(float(eps))
         grid = oracle.reduction_grid_squared(9, eps)
         for a, b in zip(grid, grid[1:]):
-            assert b <= a * (1 + eps) ** 2 + 1e-12
+            assert b <= a * step
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 5), Fraction(1, 2)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 30, 200])
+    def test_every_shape_within_the_grid_share(self, n, eps):
+        # guess t^2 scales the density of an a x b pair by
+        # 2 sqrt(ab) t / (a + t^2 b); some guess must keep 1 - GRID_SHARE * eps
+        keep = (1 - Fraction(GRID_SHARE) * eps) ** 2
+        grid = oracle.reduction_grid_squared(n, eps)
+        for a in range(1, n + 1):
+            for b in range(1, n + 1):
+                assert any(
+                    4 * a * b * t_sq >= keep * (a + t_sq * b) ** 2 for t_sq in grid
+                ), (a, b)
 
 
 class TestLocalOptimalityChecker:

@@ -1,0 +1,64 @@
+"""The directed guarantees at benchmark scale, against the benchmark's LPs.
+
+The oracle tests stop at desk scale (n <= 8 directed).  Here a seeded
+n = 30, eps = 0.2 stream, the size of the ``ddsg-grid`` workload, is replayed
+through ``DirectedDensest``.  At each checkpoint every grid entry and the
+directed answer are checked against the exact optima of Charikar's linear
+programs, taken from the benchmark's own ``bench/checker.py`` so that there
+is one reference, not two.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+from densedyn.extract import extract
+from densedyn.reducer import DirectedDensest
+from densedyn.stream import parse_stream, random_stream_text
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import checker  # noqa: E402
+
+
+def test_directed_grid_at_benchmark_scale():
+    n, eps = 30, 0.2
+    _, events = parse_stream(random_stream_text(n, "ddsg", eps, 240, seed=1, query_every=80))
+    g = DirectedDensest(n, eps)
+    live: dict[tuple[int, int], int] = {}
+    checked, prev = 0, None
+    for ev in events:
+        key = (ev.u, ev.v)
+        if ev.kind == "insert":
+            g.insert_directed(*key)
+            live[key] = live.get(key, 0) + 1
+        elif ev.kind == "delete":
+            g.delete_directed(*key)
+            live[key] -= 1
+            if not live[key]:
+                del live[key]
+        elif prev != "query":  # the stream's closing query repeats the last state
+            # each entry's instance is the doubled graph under its weights:
+            # its certificate is exact, at most the LP optimum, which is at most
+            # estimate_upper, and an unsaturated engine is within c2's (1 - eps)
+            doubled = {(u, n + v): m for (u, v), m in live.items()}
+            for entry in g.entries:
+                engine, regime = entry.active()
+                weights = [engine.weight(v) for v in range(2 * n)]
+                res = extract(engine, eps)
+                opt = checker.optimum_undirected(doubled, weights)
+                recount = checker.recount_undirected(doubled, weights, res.vertices)
+                assert checker.check_undirected(
+                    res.certified_density, recount, res.estimate_upper, opt) == [], entry.t
+                if regime == "low":
+                    assert res.certified_density >= (1 - eps) * opt, entry.t
+            # the directed answer never exceeds the optimum and is within
+            # c3's pinned (1 - eps)
+            q = g.query()
+            opt = checker.optimum_directed(live)
+            recount = checker.recount_directed(live, q.sources, q.sinks)
+            assert checker.check_directed(q.density_estimate, recount, opt) == []
+            assert q.density_estimate >= (1 - eps) * opt
+            checked += 1
+        prev = ev.kind
+    assert checked == 3

@@ -148,9 +148,9 @@ class TestGolden:
         text = random_stream_text(6, "ddsg", 0.3, 60, seed=5, query_every=15)
         report = run(*parse_stream(text))
         assert report.counters == {
-            "arcs_inc": 6384, "arcs_dec": 7721, "flips": 4428, "copies_moved": 25750,
-            "label_resets": 3171, "max_chain_inc": 9, "max_chain_dec": 9,
-            "inserts": 30624, "deletes": 25056,
+            "arcs_inc": 2743, "arcs_dec": 3260, "flips": 1857, "copies_moved": 10690,
+            "label_resets": 1284, "max_chain_inc": 10, "max_chain_dec": 7,
+            "inserts": 15312, "deletes": 12528,
         }
         assert [(q["index"], q["sources"], q["sinks"], q["regime"]) for q in report.queries] == [
             (15, [0, 4, 5], [1], "low"),
