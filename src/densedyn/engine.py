@@ -17,6 +17,13 @@ endpoints.  The work per update therefore does not grow with the number of
 copies.  A layer index (vertices bucketed by load band) supports peak-load
 queries and prefix extraction.
 
+The band of a vertex with in-degree ``ind`` and weight ``w`` is the smallest
+``i`` with ``ind <= L[i] * w + BOUNDARY_TOL * w``, for the boundaries ``L`` of
+the level table.  Since ``ind`` is an integer, that test is the same as
+``ind <= thr[i]`` with ``thr[i] = floor(L[i] * w + BOUNDARY_TOL * w)``, computed
+with the same float operations.  So a band is one bisect over an integer list,
+kept per distinct weight and grown on demand up to the largest in-degree seen.
+
 The label index files each vertex's incoming and outgoing directions by
 label band, in plain dicts of insertion-ordered buckets; a direction is filed
 exactly while its count is positive.  Rebalancing only ever reads extreme
@@ -41,6 +48,7 @@ Instances are single-threaded; distinct instances share nothing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
@@ -227,6 +235,8 @@ class OrientationEngine:
                 raise ValueError(f"weight of vertex {v} is {x}; normalize to >= 1")
         self.config = config
         max_w = max(w)
+        if not math.isfinite(n * max_w):
+            raise ValueError(f"n * max weight is {n * max_w}; it must be finite")
         config.validate(max_w)
         self.max_weight = max_w
 
@@ -238,6 +248,10 @@ class OrientationEngine:
         self.params: LevelParams = build_level_params(self.alpha, max_value)
 
         self._w = w
+        # in-degree thresholds of the bands, one list per distinct weight,
+        # grown by _band from the level table
+        tables: dict[float, list[int]] = {}
+        self._thr = [tables.setdefault(x, []) for x in w]
         self._ind = [0] * n
         self._lvl = [0] * n
         if self.threshold == INF:
@@ -296,9 +310,6 @@ class OrientationEngine:
 
     def level(self, v: int) -> int:
         return self._lvl[v]
-
-    def neighbors(self, v: int):
-        return self._adj[v].keys()
 
     def copies_to(self, v: int, members) -> int:
         """Total copies of the edges between ``v`` and the vertices in
@@ -528,11 +539,22 @@ class OrientationEngine:
         return ind / self._w[v]
 
     def _band(self, v: int, ind: int) -> int:
-        """Band of ``v`` were its in-degree ``ind``, read off the level table."""
+        """Band of ``v`` were its in-degree ``ind``: the smallest ``i`` with
+        ``ind <= thr[i]`` in the threshold list of its weight, which is the
+        float test ``ind <= L[i] * w + BOUNDARY_TOL * w`` exactly because
+        ``ind`` is an integer.  A list that ends below ``ind`` first grows
+        from the level table."""
         kcap = self._kcap[v]
         if kcap is not None and ind >= kcap:
             return self._cap_level
-        return self.params.level_of_ratio(ind, self._w[v])
+        thr = self._thr[v]
+        i = bisect_left(thr, ind)
+        while i == len(thr):  # every entry is below ind
+            w = self._w[v]
+            thr.append(math.floor(self.params.boundaries[i] * w + BOUNDARY_TOL * w))
+            if thr[i] < ind:
+                i += 1
+        return i
 
     def _shift(self, v: int, delta: int) -> None:
         """Add ``delta`` copies to the in-degree of ``v`` and refile it in the
@@ -725,7 +747,12 @@ class OrientationEngine:
             if kcap is not None and self._ind[v] >= kcap:
                 expect = self._cap_level
             else:
-                expect = self.params.level_of_ratio(self._ind[v], self._w[v])
+                # the float definition of the band, bypassing the thresholds
+                w = self._w[v]
+                tol = BOUNDARY_TOL * w
+                expect = bisect_left(
+                    self.params.boundaries, self._ind[v], key=lambda b: b * w + tol
+                )
             assert self._lvl[v] == expect, f"cached level drift at {v}"
             assert v in self._layers[self._lvl[v]], f"layer bucket drift at {v}"
         for level, members in self._layers.items():

@@ -4,7 +4,7 @@ Stream format (whitespace separated, LF terminated)::
 
     h <n> <ddsg|vwdsg> <epsilon>   header, required first
     w <v> <weight>                 optional, vwdsg only, once per vertex, before
-                                   any update
+                                   any update; weight >= 1, n * weight finite
     + <u> <v>                      insert edge (directed in ddsg mode)
     - <u> <v>                      delete edge
     ?                              query
@@ -117,8 +117,8 @@ def parse_stream(text: str) -> tuple[StreamHeader, list[UpdateEvent]]:
                 raise StreamFormatError(lineno, f"vertex {v} out of range")
             if v in weights:
                 raise StreamFormatError(lineno, f"duplicate weight for vertex {v}")
-            if not math.isfinite(wt):
-                raise StreamFormatError(lineno, f"weight {wt} must be finite")
+            if not math.isfinite(n * wt):
+                raise StreamFormatError(lineno, f"weight {wt} times n = {n} must be finite")
             if wt < 1.0:
                 raise StreamFormatError(lineno, f"weight {wt} must be >= 1")
             weights[v] = wt

@@ -44,7 +44,8 @@ def test_run_malformed_stream_exits_one(tmp_path):
     assert "line 2" in result.output
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+# 1e308 is finite, but n times it is not
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e308"])
 def test_run_non_finite_weight_exits_one(tmp_path, weight):
     path = _write(tmp_path, f"h 3 vwdsg 0.2\nw 0 {weight}\n+ 0 1\n?\n")
     result = CliRunner().invoke(cli.main, ["run", "--stream", path])

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from densedyn import engine as engine_module
 from densedyn import oracle
 from densedyn.engine import ALPHA_C, HEAP_SLACK, INF, LOOP_C, EngineConfig, OrientationEngine
-from densedyn.levels import build_level_params
+from densedyn.levels import BOUNDARY_TOL, build_level_params
 
 
 def make(n, eps=0.5, weights=None, alpha=None, loop_c=LOOP_C, **kw):
@@ -71,6 +72,11 @@ class TestConfig:
     def test_rejects_non_finite_weights(self, bad):
         with pytest.raises(ValueError, match="vertex 0"):
             make(3, weights=[bad, 1.0, 1.0])
+
+    def test_rejects_weight_overflowing_with_n(self):
+        # n * W feeds log2 in alpha; at inf alpha would be 0
+        with pytest.raises(ValueError, match="must be finite"):
+            make(2, weights=[1e308, 1.0])
 
     def test_rejects_threshold_below_floor(self):
         # minimum useful cap is log2(nW) / eps^2
@@ -410,10 +416,17 @@ def test_conservation_and_consistency(ops):
     e.debug_audit()
 
 
-def test_layer_index_moves_one_band_at_a_time():
+def float_band(e, v):
+    """Reference band of ``v``: the smallest ``i`` with
+    ``indeg <= L[i] * w + BOUNDARY_TOL * w``, compared in floats."""
+    w = e.weight(v)
+    tol = BOUNDARY_TOL * w
+    return bisect_left(e.params.boundaries, e.indeg(v), key=lambda b: b * w + tol)
+
+
+def test_cached_bands_match_float_rule():
     e = make(5, eps=0.4)
     rng = random.Random(41)
-    last = {v: e.level(v) for v in range(5)}
     live = []
     for _ in range(300):
         if live and rng.random() < 0.4:
@@ -424,13 +437,12 @@ def test_layer_index_moves_one_band_at_a_time():
             e.insert(u, v)
             live.append((u, v))
         for w in range(5):
-            cur = e.level(w)
             # flips touch a vertex repeatedly within one update and may move
-            # it several bands at once; public ops keep the index coherent
-            assert cur == e.params.level_of_ratio(e.indeg(w), e.weight(w)) or (
+            # it several bands at once; after each public op its cached band
+            # is the float rule's, or the cap's
+            assert e.level(w) == float_band(e, w) or (
                 e.threshold != INF and e.indeg(w) >= e._kcap[w]
             )
-            last[w] = cur
     e.debug_audit()
 
 
@@ -582,6 +594,21 @@ def test_debug_audit_catches_planted_faults(plant, message):
     assert e._adj[0][1].count == 1 and e._adj[1][0].count == 0
     plant(e)
     with pytest.raises(AssertionError, match=message):
+        e.debug_audit()
+
+
+def test_debug_audit_catches_wrong_threshold():
+    # the audit recomputes each band from the level table's boundaries, so a
+    # wrong threshold that files a vertex in the wrong band is caught; an
+    # audit that read the band back off the thresholds would pass
+    e = make(3, alpha=0.5)
+    e.insert(0, 1)  # a tie: vertex 0 gets in-degree 1, in band 1
+    thr = e._thr[0]
+    assert e._thr[2] is thr and thr[1] == 1  # weight 1 shares one list
+    thr[1] = 0  # in-degree 1 now reads as above band 1
+    e.insert(0, 2)  # the copy goes to vertex 2, the lighter endpoint
+    assert e.indeg(2) == 1 and e.level(2) == 2
+    with pytest.raises(AssertionError, match="cached level drift at 2"):
         e.debug_audit()
 
 

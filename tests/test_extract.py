@@ -23,6 +23,11 @@ def make(n, eps=0.2, weights=None, **kw):
     return OrientationEngine(EngineConfig(n=n, epsilon=eps, **kw), weights)
 
 
+def neighbors(engine, v: int) -> list[int]:
+    """Vertices sharing at least one stored copy of an edge with ``v``."""
+    return [u for u in range(engine.n) if u != v and engine.pair_copies(u, v)]
+
+
 def induced_density(engine: OrientationEngine, vertices) -> float:
     """Exact logical density of ``vertices``: stored copies inside the set
     divided by duplication, over total vertex weight."""
@@ -34,7 +39,7 @@ def induced_density(engine: OrientationEngine, vertices) -> float:
             raise ValueError(f"vertex {v} out of range")
     copies = 0
     for v in vs:
-        for nb in engine.neighbors(v):
+        for nb in neighbors(engine, v):
             if nb > v and nb in vs:
                 copies += engine.pair_copies(v, nb)
     weight = sum(engine.weight(v) for v in vs)
@@ -63,7 +68,7 @@ def full_scan(engine: OrientationEngine, epsilon: float) -> tuple[ExtractionResu
     wsum = 0.0
     for verts in members:
         for v in verts:
-            for nb in engine.neighbors(v):
+            for nb in neighbors(engine, v):
                 if nb in inside:
                     copies += engine.pair_copies(v, nb)
             inside.add(v)
@@ -152,14 +157,11 @@ class Banded:
     def indeg(self, v):
         return self._ind[v]
 
-    def neighbors(self, v):
-        return set(self._into[v]) | {h for h in range(self.n) if v in self._into[h]}
-
     def pair_copies(self, u, v):
         return self._into[v].get(u, 0) + self._into[u].get(v, 0)
 
     def copies_to(self, v, members):
-        return sum(self.pair_copies(u, v) for u in self.neighbors(v) if u in members)
+        return sum(self.pair_copies(u, v) for u in neighbors(self, v) if u in members)
 
 
 class TestExtract:

@@ -1,10 +1,13 @@
 import math
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densedyn.engine import EngineConfig, OrientationEngine
 from densedyn.levels import BOUNDARY_TOL, build_level_params
+from densedyn.reducer import ratio_grid
 
 
 def closed_form_level(alpha: float, x: float) -> int:
@@ -64,13 +67,40 @@ def test_level_of_rejects_out_of_range():
         p.level_of(2.2)
 
 
-def test_level_of_ratio_matches_division():
-    p = build_level_params(0.25, 500.0)
-    for num in range(0, 400):
-        for den in (1.0, 2.0, 3.0, 7.5):
-            if num / den > 500.0:
-                continue
-            assert p.level_of_ratio(num, den) == p.level_of(num / den)
+# engine weights: 1, each guess weight of the n = 30, eps = 0.2 ratio grid
+# (t^2 above 1, 1/t^2 below, as the reducer computes them), and weights one
+# ulp below an integer, as a rounded t^2 can be, where the slack decides
+GRID_WEIGHTS = sorted(
+    {1.0, math.nextafter(2.0, 0.0), math.nextafter(30.0, 0.0)}
+    | {t * t if t > 1.0 else 1.0 / (t * t) for t in ratio_grid(30, 0.2)}
+)
+
+
+def float_band(params, ind, w):
+    """Reference band: the smallest ``i`` with
+    ``ind <= L[i] * w + BOUNDARY_TOL * w``, compared in floats."""
+    tol = BOUNDARY_TOL * w
+    return bisect_left(params.boundaries, ind, key=lambda b: b * w + tol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(st.sampled_from(GRID_WEIGHTS), st.floats(min_value=1.0, max_value=1e6)),
+    st.sampled_from([0.2, 0.5]),
+    st.lists(st.one_of(st.just(1), st.integers(100, 500)), min_size=1, max_size=8),
+)
+def test_engine_band_matches_float_rule(w, eps, steps):
+    # the engine's integer thresholds grow with the largest in-degree looked
+    # up, one copy at a time or in jumps of hundreds as batched moves make;
+    # the band must be the float rule's at and just past every threshold
+    e = OrientationEngine(EngineConfig(n=1, epsilon=eps), [w])
+    ind = 0
+    for step in steps:
+        ind += step
+        assert e._band(0, ind) == float_band(e.params, ind, w)
+    for k in list(e._thr[0]):
+        for x in (k, k + 1):
+            assert e._band(0, x) == float_band(e.params, x, w)
 
 
 @settings(max_examples=300)

@@ -51,7 +51,8 @@ class TestParse:
         with pytest.raises(StreamFormatError):
             parse_stream("h 3 ddsg 0.2\nw 1 2.5\n")
 
-    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    # 1e308 is finite, but n times it is not
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e308"])
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(StreamFormatError, match="line 2"):
             parse_stream(f"h 3 vwdsg 0.2\nw 0 {weight}\n+ 0 1\n?\n")
