@@ -27,15 +27,15 @@ kept per distinct weight and grown on demand up to the largest in-degree seen.
 The label index files each vertex's incoming and outgoing directions by
 label band, in plain dicts of insertion-ordered buckets; a direction is filed
 exactly while its count is positive.  Rebalancing only ever reads extreme
-keys: the lowest and highest incoming band and the highest outgoing band.  So
-instead of keeping the keys sorted, each dict has lazy heaps of them, a
-min-heap and a max-heap for incoming bands and a max-heap for outgoing ones.
-A key is pushed when its bucket is created and popped once it reaches a top
-after its bucket emptied; a heap is rebuilt from the live keys once it holds
-more than about twice as many.  A heap's top live key is exactly the extreme
-key a sorted map gives, and the first arc of a bucket is the one filed
-earliest either way, so every scan picks the same arc in the same order and
-every decision, counter and answer is the same as with a sorted map.
+keys: the lowest and highest incoming band and the highest outgoing band.  It
+reads them with ``min`` and ``max`` over the dict's keys when it needs them
+rather than keeping them sorted, because the dicts stay small.  A label is a
+band its head held, and each update leaves it within four bands of the head's
+current band, so a vertex's incoming keys span at most nine bands; its
+outgoing keys lie at most three bands above its own and take one key per
+distinct band among its out-neighbours.  The first arc of a bucket is the one
+filed earliest, so every scan picks the same arc in the same order as with a
+sorted map.
 
 The analysis fixes five tuning constants, and this module is their only
 home: ``ALPHA_C`` (band width), ``LOOP_C`` (arc-scan budget), ``DUP_C`` (edge
@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 
 from .levels import BOUNDARY_TOL, LevelParams, build_level_params
 
@@ -69,8 +68,6 @@ THRESHOLD_C = 4.0
 # Share of eps the directed reduction's side-ratio guess may lose: every
 # ratio lies within a factor q of a guess, q + 1/q = 2 / (1 - GRID_SHARE * eps).
 GRID_SHARE = 0.25
-# A lazy key heap is rebuilt once it holds more than 2 * live keys + this.
-HEAP_SLACK = 8
 
 
 def log_scale(x: float) -> float:
@@ -158,64 +155,22 @@ def _last_true(lo: int, hi: int, ok) -> int:
     return lo
 
 
-def _file(keys: dict, key, arc: _Arc, hi: list, lo: list | None = None) -> None:
-    """Add ``arc`` to the bucket of ``key`` in ``keys``.  A new key is pushed
-    onto the max-heap ``hi`` (negated) and onto the min-heap ``lo``, if any.
-    That adds one entry to a heap and raises its bound in :func:`_unfile` by
-    two, so only a leaving key can break the bound."""
+def _file(keys: dict, key, arc: _Arc) -> None:
+    """Add ``arc`` to the bucket of ``key`` in ``keys``, creating it if new."""
     bucket = keys.get(key)
     if bucket is None:
         keys[key] = {arc: None}
-        heappush(hi, -key)
-        if lo is not None:
-            heappush(lo, key)
     else:
         bucket[arc] = None
 
 
-def _unfile(keys: dict, key, arc: _Arc, hi: list, lo: list | None = None) -> None:
-    """Take ``arc`` out of the bucket of ``key``.  An emptied bucket's key
-    leaves ``keys`` at once but stays in the heaps until it reaches a top.
-    A heap is rebuilt from the live keys once it holds more than
-    ``2 * len(keys) + HEAP_SLACK`` entries, so dead keys cost O(1) amortized
-    and never outnumber live ones by much.  Each heap is checked on its own,
-    since lazy pops thin them at different rates."""
+def _unfile(keys: dict, key, arc: _Arc) -> None:
+    """Take ``arc`` out of the bucket of ``key``; an emptied bucket's key
+    leaves ``keys`` at once, so ``min`` and ``max`` see only live keys."""
     bucket = keys[key]
     del bucket[arc]
     if not bucket:
         del keys[key]
-        limit = 2 * len(keys) + HEAP_SLACK
-        if len(hi) > limit:
-            _rebuild(hi, [-k for k in keys])
-        if lo is not None and len(lo) > limit:
-            _rebuild(lo, list(keys))
-
-
-def _rebuild(heap: list, entries: list) -> None:
-    """Replace the contents of ``heap`` by the heap of ``entries``, in place,
-    so that a scan holding the list sees the rebuilt heap."""
-    heapify(entries)
-    heap[:] = entries
-
-
-def _min_key(heap: list, keys: dict):
-    """Smallest live key of a non-empty ``keys``; pops dead entries off the
-    top of its min-heap."""
-    key = heap[0]
-    while key not in keys:
-        heappop(heap)
-        key = heap[0]
-    return key
-
-
-def _max_key(heap: list, keys: dict):
-    """Largest live key of a non-empty ``keys``; pops dead entries off the
-    top of its max-heap of negated keys."""
-    key = -heap[0]
-    while key not in keys:
-        heappop(heap)
-        key = -heap[0]
-    return key
 
 
 class OrientationEngine:
@@ -262,16 +217,12 @@ class OrientationEngine:
             self._kcap = [math.ceil(self.threshold * x) for x in w]
             self._cap_level = self.params.level_of(self.threshold)
         # bucket values are insertion-ordered dicts keyed by arc record, so
-        # replay order (hence every report) is deterministic; the heaps are
-        # the lazy key heaps of the module docstring
-        self._in = [{} for _ in range(n)]      # label band -> arcs
-        self._in_lo = [[] for _ in range(n)]   # min-heap of label bands
-        self._in_hi = [[] for _ in range(n)]   # max-heap of -label bands
-        self._out = [{} for _ in range(n)]     # label band -> arcs
-        self._out_hi = [[] for _ in range(n)]  # max-heap of -label bands
+        # replay order (hence every report) is deterministic; extreme keys are
+        # read with min and max, as the module docstring says
+        self._in = [{} for _ in range(n)]   # label band -> arcs
+        self._out = [{} for _ in range(n)]  # label band -> arcs
         self._adj: list[dict[int, _Arc]] = [{} for _ in range(n)]  # head -> tail -> arc
         self._layers: dict[int, set[int]] = {0: set(range(n))}
-        self._top = 0
         self._copies = 0
         self.stats = dict.fromkeys(
             ("arcs_inc", "arcs_dec", "flips", "copies_moved", "label_resets",
@@ -432,8 +383,10 @@ class OrientationEngine:
     # queries
 
     def max_load(self) -> float:
-        """Maximum thresholded load, read off the top layer bucket."""
-        top = self._top
+        """Maximum thresholded load, read off the top layer bucket.  The top
+        band is the largest key of the layer index, which holds one key per
+        band in use, so it is read when asked for rather than kept."""
+        top = max(self._layers)
         if top == 0:
             return 0.0
         return max(self.thresholded_load(v) for v in self._layers[top])
@@ -512,9 +465,8 @@ class OrientationEngine:
     def _drop(self, arc: _Arc, c: int) -> None:
         arc.count -= c
         if arc.count == 0:
-            h, t = arc.head, arc.tail
-            _unfile(self._in[h], arc.label_level, arc, self._in_hi[h], self._in_lo[h])
-            _unfile(self._out[t], arc.label_level, arc, self._out_hi[t])
+            _unfile(self._in[arc.head], arc.label_level, arc)
+            _unfile(self._out[arc.tail], arc.label_level, arc)
 
     def _relabel(self, arc: _Arc, band: int) -> None:
         """Set the direction's shared label to ``band``, keeping both label
@@ -525,10 +477,10 @@ class OrientationEngine:
         if arc.count:
             if band == arc.label_level:
                 return
-            _unfile(self._in[h], arc.label_level, arc, self._in_hi[h], self._in_lo[h])
-            _unfile(self._out[t], arc.label_level, arc, self._out_hi[t])
-        _file(self._in[h], band, arc, self._in_hi[h], self._in_lo[h])
-        _file(self._out[t], band, arc, self._out_hi[t])
+            _unfile(self._in[h], arc.label_level, arc)
+            _unfile(self._out[t], arc.label_level, arc)
+        _file(self._in[h], band, arc)
+        _file(self._out[t], band, arc)
         arc.label_level = band
 
     def _tload(self, v: int, ind: int) -> float:
@@ -597,14 +549,6 @@ class OrientationEngine:
         else:
             self._layers[new] = {v}
         self._lvl[v] = new
-        if new > self._top:
-            self._top = new
-        else:
-            top = self._top
-            layers = self._layers
-            while top > 0 and top not in layers:
-                top -= 1
-            self._top = top
 
     def _settle(self, todo: list[int], base: dict[int, int], owed: dict[int, int],
                 chain: str) -> None:
@@ -631,11 +575,12 @@ class OrientationEngine:
         other endpoint.  Evening out lowers ``sum(indeg^2 / weight)`` with each
         copy and owed copies only run down, so the queue empties.
 
-        Each scan step reads one extreme key off a lazy heap of the label
-        index (the highest outgoing band, the lowest or the highest incoming
-        band) and takes the earliest-filed arc of its bucket.  These are the
-        key and arc a sorted map would give, so the order of decisions does
-        not depend on how the index is kept.
+        Each scan step reads one extreme key of the label index with ``min``
+        or ``max`` over a vertex's live keys (the highest outgoing band, the
+        lowest or the highest incoming band) and takes the earliest-filed arc
+        of its bucket.  These are the key and arc a sorted map would give, and
+        the maps hold few keys (see the module docstring), so each read scans
+        a handful of them.
         """
         stats = self.stats
         lvl = self._lvl
@@ -655,11 +600,11 @@ class OrientationEngine:
             d = depth.pop(x)
             deepest = max(deepest, d)
             budget = self.budget * max(1, abs(lvl[x] - base.pop(x)))
-            out_map, out_hi = self._out[x], self._out_hi[x]
-            in_map, in_lo, in_hi = self._in[x], self._in_lo[x], self._in_hi[x]
+            out_map = self._out[x]
+            in_map = self._in[x]
             while True:
                 while out_map:
-                    top = _max_key(out_hi, out_map)
+                    top = max(out_map)
                     lx = lvl[x]
                     if lx + 3 > top:
                         break
@@ -691,7 +636,7 @@ class OrientationEngine:
                 for _ in range(budget):
                     if not in_map:
                         break
-                    arc = next(iter(in_map[_min_key(in_lo, in_map)]))  # t -> x
+                    arc = next(iter(in_map[min(in_map)]))  # t -> x
                     stats["arcs_inc"] += 1
                     lx = lvl[x]
                     if lx < arc.label_level + 2:
@@ -711,7 +656,7 @@ class OrientationEngine:
             for _ in range(budget):
                 if not in_map:
                     break
-                arc = next(iter(in_map[_max_key(in_hi, in_map)]))
+                arc = next(iter(in_map[max(in_map)]))
                 stats["arcs_dec"] += 1
                 if arc.label_level < lx + 2:
                     break
@@ -757,7 +702,6 @@ class OrientationEngine:
             assert v in self._layers[self._lvl[v]], f"layer bucket drift at {v}"
         for level, members in self._layers.items():
             assert members, f"empty layer bucket {level} retained"
-        assert self._top == max(self._layers), "top layer drift"
         for v in range(n):
             for keys, end in ((self._in[v], "head"), (self._out[v], "tail")):
                 for band, bucket in keys.items():
@@ -765,12 +709,3 @@ class OrientationEngine:
                     for a in bucket:
                         assert a.count > 0, f"arc without copies filed at {v}"
                         assert getattr(a, end) == v and a.label_level == band
-            for keys, heap, sign in ((self._in[v], self._in_lo[v], 1),
-                                     (self._in[v], self._in_hi[v], -1),
-                                     (self._out[v], self._out_hi[v], -1)):
-                assert {sign * k for k in heap}.issuperset(keys), (
-                    f"live key missing from a heap at {v}"
-                )
-                assert len(heap) <= 2 * len(keys) + HEAP_SLACK, (
-                    f"heap of {len(heap)} entries for {len(keys)} keys at {v}"
-                )

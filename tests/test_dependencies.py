@@ -7,8 +7,9 @@ import densedyn
 
 
 def test_package_does_not_import_sortedcontainers():
-    # the engine's label index is plain dicts and heapq; a fresh interpreter
-    # shows whether any module of the package pulls the old dependency back in
+    # the engine's label index is plain dicts read with min and max; a fresh
+    # interpreter shows whether any module of the package pulls the old
+    # dependency back in
     code = (
         "import importlib, sys\n"
         "import densedyn, densedyn.engine, densedyn.reducer\n"
