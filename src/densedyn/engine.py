@@ -18,11 +18,13 @@ copies.  A layer index (vertices bucketed by load band) supports peak-load
 queries and prefix extraction.
 
 The band of a vertex with in-degree ``ind`` and weight ``w`` is the smallest
-``i`` with ``ind <= L[i] * w + BOUNDARY_TOL * w``, for the boundaries ``L`` of
-the level table.  Since ``ind`` is an integer, that test is the same as
-``ind <= thr[i]`` with ``thr[i] = floor(L[i] * w + BOUNDARY_TOL * w)``, computed
-with the same float operations.  So a band is one bisect over an integer list,
-kept per distinct weight and grown on demand up to the largest in-degree seen.
+``i`` with ``ind <= L[i] * w + BOUNDARY_TOL * w`` for the level table's
+boundaries ``L``, and the top band, whose boundary is a capped engine's cap,
+takes every larger in-degree.  For an integer ``ind`` that test is
+``ind <= thr[i]``, ``thr[i] = floor(L[i] * w + BOUNDARY_TOL * w)`` with the same
+float operations (``inf`` at the top): one bisect over an integer list per
+distinct weight, grown on demand to the largest in-degree seen, which is as
+far as the level table is ever read.
 
 The label index files each vertex's incoming and outgoing directions by
 label band, in plain dicts of insertion-ordered buckets; a direction is filed
@@ -211,11 +213,9 @@ class OrientationEngine:
         self._lvl = [0] * n
         if self.threshold == INF:
             self._kcap = [None] * n
-            self._cap_level = None
         else:
             # in-degree at which the thresholded load pins to the cap
             self._kcap = [math.ceil(self.threshold * x) for x in w]
-            self._cap_level = self.params.level_of(self.threshold)
         # bucket values are insertion-ordered dicts keyed by arc record, so
         # replay order (hence every report) is deterministic; extreme keys are
         # read with min and max, as the module docstring says
@@ -244,7 +244,7 @@ class OrientationEngine:
 
     @property
     def level_count(self) -> int:
-        """Number of load bands of this instance."""
+        """Number of load bands of this instance; builds the whole table."""
         return self.params.top_level
 
     def weight(self, v: int) -> float:
@@ -495,15 +495,14 @@ class OrientationEngine:
         ``ind <= thr[i]`` in the threshold list of its weight, which is the
         float test ``ind <= L[i] * w + BOUNDARY_TOL * w`` exactly because
         ``ind`` is an integer.  A list that ends below ``ind`` first grows
-        from the level table."""
-        kcap = self._kcap[v]
-        if kcap is not None and ind >= kcap:
-            return self._cap_level
+        from the level table, up to the top band's infinite threshold, so an
+        in-degree at or past ``_kcap`` falls in the top band."""
         thr = self._thr[v]
         i = bisect_left(thr, ind)
         while i == len(thr):  # every entry is below ind
-            w = self._w[v]
-            thr.append(math.floor(self.params.boundaries[i] * w + BOUNDARY_TOL * w))
+            b, w = self.params.boundary(i), self._w[v]
+            top = b >= self.params.max_value - BOUNDARY_TOL
+            thr.append(INF if top else math.floor(b * w + BOUNDARY_TOL * w))
             if thr[i] < ind:
                 i += 1
         return i
@@ -671,6 +670,7 @@ class OrientationEngine:
     def debug_audit(self) -> None:
         """Cross-check every redundant structure; raises AssertionError."""
         n = self.config.n
+        top = self.params.top_level  # the float bisect reads the full table
         ind = [0] * n
         copies = 0
         for v, into in enumerate(self._adj):
@@ -682,7 +682,7 @@ class OrientationEngine:
                 copies += a.count
                 if a.count > 0:
                     lb = a.label_level
-                    assert 0 <= lb <= self.params.top_level, f"label {lb} out of range"
+                    assert 0 <= lb <= top, f"label {lb} out of range"
                     assert a in self._in[v].get(lb, ()), "live arc unfiled"
                     assert a in self._out[u].get(lb, ()), "live arc unfiled"
         assert copies == self._copies, "copy counter drift"
@@ -690,7 +690,7 @@ class OrientationEngine:
             assert ind[v] == self._ind[v], f"indeg drift at {v}"
             kcap = self._kcap[v]
             if kcap is not None and self._ind[v] >= kcap:
-                expect = self._cap_level
+                expect = top
             else:
                 # the float definition of the band, bypassing the thresholds
                 w = self._w[v]

@@ -98,10 +98,13 @@ class GridEntry:
     low: OrientationEngine
     high: OrientationEngine
 
-    def active(self) -> tuple[OrientationEngine, str]:
-        if self.low.saturated():
-            return self.high, "high"
-        return self.low, "low"
+    def active(self) -> tuple[OrientationEngine, str, float]:
+        """The engine to trust, its regime and its peak load.  The low
+        engine's peak is read once, for its saturation test and the bound."""
+        peak = self.low.max_load()
+        if peak >= self.low.saturation_trigger():
+            return self.high, "high", self.high.max_load()
+        return self.low, "low", peak
 
 
 @dataclass(frozen=True)
@@ -216,8 +219,8 @@ class DirectedDensest:
         n = self.n
         order = []  # (-bound, grid index, engine, regime)
         for i, entry in enumerate(self.entries):
-            engine, regime = entry.active()
-            bound = engine.max_load() / engine.config.duplication * entry.scale
+            engine, regime, peak = entry.active()
+            bound = peak / engine.config.duplication * entry.scale
             order.append((-bound, i, engine, regime))
         order.sort(key=lambda o: o[:2])
         best = None  # (denormalized density, index, entry, regime, sources, sinks)

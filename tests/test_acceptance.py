@@ -413,35 +413,41 @@ def test_c7_threshold_regime_switch():
 
 @criterion(8, "band arithmetic properties over 1e4 random checks")
 def test_c8_level_properties():
+    # the engine's band of integer in-degrees x and y at weight w, over a
+    # level table of random alpha and max_value; loads are x / w and y / w
     rng = random.Random(SEED + 8)
     checks = 0
     for _ in range(100):
         alpha = 10 ** rng.uniform(-2.3, 0.0)
         max_value = 10 ** rng.uniform(0.5, 4.0)
-        params = build_level_params(alpha, max_value)
+        w = rng.choice([1.0, 2.0, 3.7, 29.9])
+        engine = OrientationEngine(EngineConfig(n=1, epsilon=0.5), [w])
+        engine.params = build_level_params(alpha, max_value)
+        band = functools.partial(engine._band, 0)
+        kmax = math.floor(max_value * w)  # in-degree of load max_value
         for _ in range(25):
-            x = rng.uniform(0.0, max_value)
-            y = rng.uniform(0.0, max_value)
-            lx, ly = params.level_of(x), params.level_of(y)
+            x = rng.randint(0, kmax)
+            y = rng.randint(0, kmax)
+            lx, ly = band(x), band(y)
             # monotone
             if x <= y:
                 assert lx <= ly
             else:
                 assert lx >= ly
             # smooth
-            if x + 1.0 <= max_value:
-                assert params.level_of(x + 1.0) <= lx + 1
-            if x >= 1.0:
-                assert params.level_of(x - 1.0) >= lx - 1
-            # round trip
+            if x + 1 <= kmax:
+                assert band(x + 1) <= lx + 1
+            if x >= 1:
+                assert band(x - 1) >= lx - 1
+            # round trip, in the float rule's own operations
             if x > 0:
-                assert params.boundaries[lx - 1] < x + 1e-9
-                assert x <= params.boundaries[lx] + 1e-9
+                b, tol = engine.params.boundaries, 1e-9 * w
+                assert b[lx - 1] * w + tol < x <= b[lx] * w + tol
             # band-gap soundness
             if lx <= ly:
-                assert x <= (1 + alpha) * y + 1 + 1e-6
+                assert x / w <= (1 + alpha) * y / w + 1 + 1e-6
             if lx >= ly + 2:
-                assert x >= (1 + alpha) * y + 1 - 1e-6
+                assert x / w >= (1 + alpha) * y / w + 1 - 1e-6
             checks += 4
     assert checks >= 10_000
     return f"{checks} property evaluations"

@@ -103,7 +103,7 @@ class TestInsert:
         assert rec["count_vu"] == 1  # direction 1 -> 0
         assert rec["count_uv"] == 0
         assert e.indeg(0) == 1
-        assert rec["label_vu"] == e.params.level_of(1.0)
+        assert rec["label_vu"] == e._band(0, 1)
         assert not e.verify_local_optimality()
         e.debug_audit()
 
@@ -221,7 +221,7 @@ class TestRebalancing:
         e = make(2, alpha=0.5, weights=[1.0, 4.0])
         e.insert(0, 1, multiplicity=8)
         assert e.indeg(0) == 2
-        force_label(e, 0, 1, e.params.level_of(8.0))
+        force_label(e, 0, 1, e._band(0, 8))  # the band of load 8 at weight 1
         flips = e.stats["flips"]
         e.delete(0, 1)
         assert e.stats["flips"] == flips + 1
@@ -241,7 +241,7 @@ class TestRebalancing:
         e.insert(0, 7, multiplicity=160)
         assert e.level(0) == 2
         for j in range(1, 7):
-            force_label(e, j, 0, e.params.level_of(40.0))
+            force_label(e, j, 0, e._band(1, 40))  # the band of load 40 at weight 1
         stale_before = sum(
             1 for t, h, c, lb in e.iter_arcs() if h == 0 and lb >= 8
         )
@@ -422,10 +422,13 @@ def test_conservation_and_consistency(ops):
 
 def float_band(e, v):
     """Reference band of ``v``: the smallest ``i`` with
-    ``indeg <= L[i] * w + BOUNDARY_TOL * w``, compared in floats."""
+    ``indeg <= L[i] * w + BOUNDARY_TOL * w``, compared in floats over the
+    whole table."""
+    top = e.params.top_level  # reading it builds the whole table
     w = e.weight(v)
     tol = BOUNDARY_TOL * w
-    return bisect_left(e.params.boundaries, e.indeg(v), key=lambda b: b * w + tol)
+    return bisect_left(e.params.boundaries, e.indeg(v), hi=top + 1,
+                       key=lambda b: b * w + tol)
 
 
 def test_cached_bands_match_float_rule():

@@ -1,13 +1,20 @@
 import math
+import random
 from bisect import bisect_left
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densedyn.engine import EngineConfig, OrientationEngine
+from densedyn.engine import (
+    EngineConfig,
+    OrientationEngine,
+    duplication_factor,
+    log_scale,
+)
 from densedyn.levels import BOUNDARY_TOL, build_level_params
-from densedyn.reducer import ratio_grid
+from densedyn.reducer import DirectedDensest, ratio_grid
 
 
 def closed_form_level(alpha: float, x: float) -> int:
@@ -20,14 +27,35 @@ def closed_form_level(alpha: float, x: float) -> int:
     return math.ceil(math.log(alpha * x + 1.0) / math.log(1.0 + alpha))
 
 
+def eager_boundaries(alpha: float, max_value: float) -> list[float]:
+    """The whole table, built up front by the recurrence."""
+    out = [0.0]
+    while out[-1] < max_value - BOUNDARY_TOL:
+        out.append((1.0 + alpha) * out[-1] + 1.0)
+    return out
+
+
+def band_engine(alpha: float, w: float = 1.0, max_value: float = 2.0**32):
+    """A one-vertex engine of weight ``w`` on the level table of ``alpha``
+    and ``max_value``, whose top band takes every larger in-degree."""
+    e = OrientationEngine(EngineConfig(n=1, epsilon=0.5), [w])
+    e.params = build_level_params(alpha, max_value)
+    return e
+
+
 def test_build_examples():
     p = build_level_params(0.1, 2.1)
+    assert p.boundaries == [0.0]  # nothing is built until it is read
+    assert p.top_level == 2
     assert [round(b, 9) for b in p.boundaries] == [0.0, 1.0, 2.1]
 
     p = build_level_params(1.0, 1.0)
+    assert p.top_level == 1
     assert list(p.boundaries) == [0.0, 1.0]
 
     p = build_level_params(0.5, 4.0)
+    assert p.boundary(2) == 2.5
+    assert p.top_level == 3
     assert [round(b, 9) for b in p.boundaries] == [0.0, 1.0, 2.5, 4.75]
 
 
@@ -42,6 +70,7 @@ def test_build_rejects_bad_arguments():
 
 def test_recurrence_and_coverage():
     p = build_level_params(0.37, 1234.5)
+    assert p.top_level == len(p.boundaries) - 1
     b = p.boundaries
     assert b[0] == 0.0
     for i in range(1, len(b)):
@@ -52,19 +81,31 @@ def test_recurrence_and_coverage():
     assert b[-2] < p.max_value - BOUNDARY_TOL
 
 
-def test_level_of_examples():
-    p = build_level_params(0.1, 2.1)
-    assert p.level_of(0.0) == 0
-    assert p.level_of(1.0) == 1
-    assert p.level_of(2.1) == 2
+def test_band_examples():
+    # boundaries 0, 1, 2.1: the top band takes every load above 1
+    e = band_engine(0.1, max_value=2.1)
+    assert [e._band(0, ind) for ind in range(5)] == [0, 1, 2, 2, 2]
+    # at weight 2 the same table is read in loads ind / 2
+    e = band_engine(0.1, w=2.0, max_value=2.1)
+    assert [e._band(0, ind) for ind in range(6)] == [0, 1, 1, 2, 2, 2]
+    assert e._thr[0] == [0, 2, math.inf]
 
 
-def test_level_of_rejects_out_of_range():
-    p = build_level_params(0.1, 2.1)
-    with pytest.raises(ValueError):
-        p.level_of(-0.001)
-    with pytest.raises(ValueError):
-        p.level_of(2.2)
+def test_top_level_matches_eager_recurrence():
+    # reads in any order, or none, leave the same table once top_level is read
+    rng = random.Random(7)
+    for _ in range(200):
+        alpha = 10 ** rng.uniform(-3.0, 0.0)
+        max_value = 10 ** rng.uniform(0.0, 6.0)
+        eager = eager_boundaries(alpha, max_value)
+        p = build_level_params(alpha, max_value)
+        k = rng.randrange(len(eager))
+        assert p.boundary(k) == eager[k]
+        assert len(p.boundaries) == k + 1
+        assert p.top_level == len(eager) - 1
+        assert p.boundaries == eager
+        with pytest.raises(IndexError):
+            p.boundary(len(eager))
 
 
 # engine weights: 1, each guess weight of the n = 30, eps = 0.2 ratio grid
@@ -78,9 +119,11 @@ GRID_WEIGHTS = sorted(
 
 def float_band(params, ind, w):
     """Reference band: the smallest ``i`` with
-    ``ind <= L[i] * w + BOUNDARY_TOL * w``, compared in floats."""
+    ``ind <= L[i] * w + BOUNDARY_TOL * w``, compared in floats over the whole
+    table."""
+    top = params.top_level  # reading it builds the whole table
     tol = BOUNDARY_TOL * w
-    return bisect_left(params.boundaries, ind, key=lambda b: b * w + tol)
+    return bisect_left(params.boundaries, ind, hi=top + 1, key=lambda b: b * w + tol)
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,80 +131,101 @@ def float_band(params, ind, w):
     st.one_of(st.sampled_from(GRID_WEIGHTS), st.floats(min_value=1.0, max_value=1e6)),
     st.sampled_from([0.2, 0.5]),
     st.lists(st.one_of(st.just(1), st.integers(100, 500)), min_size=1, max_size=8),
+    st.one_of(st.none(), st.floats(min_value=1.0, max_value=4.0)),
 )
-def test_engine_band_matches_float_rule(w, eps, steps):
+def test_engine_band_matches_float_rule(w, eps, steps, cap_c):
     # the engine's integer thresholds grow with the largest in-degree looked
     # up, one copy at a time or in jumps of hundreds as batched moves make;
-    # the band must be the float rule's at and just past every threshold
-    e = OrientationEngine(EngineConfig(n=1, epsilon=eps), [w])
+    # the band must be the float rule's at and just past every threshold.
+    # A capped engine (its cap cap_c times the floor) puts every in-degree
+    # at or past the cap in the top band.
+    config = EngineConfig(n=1, epsilon=eps)
+    if cap_c is not None:
+        config = replace(config, threshold=cap_c * log_scale(w) / eps**2)
+    e = OrientationEngine(config, [w])
+    kcap = e._kcap[0]
+
+    def expect(x):
+        if kcap is not None and x >= kcap:
+            return e.params.top_level
+        return float_band(e.params, x, w)
+
     ind = 0
     for step in steps:
         ind += step
-        assert e._band(0, ind) == float_band(e.params, ind, w)
+        assert e._band(0, ind) == expect(ind)
+    if cap_c is not None:
+        for x in (kcap - 1, kcap, kcap + 1, 2 * kcap):
+            assert e._band(0, x) == expect(x)
     for k in list(e._thr[0]):
-        for x in (k, k + 1):
-            assert e._band(0, x) == float_band(e.params, x, w)
+        if k < math.inf:
+            for x in (k, k + 1):
+                assert e._band(0, x) == expect(x)
+
+
+# the band properties, on the engine's band of integer in-degrees at weight 1,
+# at integer weights and at the weights of the acceptance grid; a load is
+# in-degree over weight
+ALPHAS = st.floats(min_value=0.01, max_value=1.0)
+WEIGHTS = st.sampled_from([1.0, 2.0, 3.0, 3.7, 29.9])
+INDEGS = st.integers(min_value=0, max_value=1000)
 
 
 @settings(max_examples=300)
-@given(
-    st.floats(min_value=0.01, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1000.0),
-    st.floats(min_value=0.0, max_value=1000.0),
-)
-def test_monotone(alpha, x, y):
-    p = build_level_params(alpha, 1001.0)
+@given(ALPHAS, WEIGHTS, INDEGS, INDEGS)
+def test_monotone(alpha, w, x, y):
+    e = band_engine(alpha, w)
     if x > y:
         x, y = y, x
-    assert p.level_of(x) <= p.level_of(y)
+    assert e._band(0, x) <= e._band(0, y)
 
 
 @settings(max_examples=300)
-@given(
-    st.floats(min_value=0.01, max_value=1.0),
-    st.floats(min_value=0.0, max_value=999.0),
-)
-def test_smooth(alpha, x):
-    p = build_level_params(alpha, 1001.0)
-    assert p.level_of(x + 1.0) <= p.level_of(x) + 1
-    if x >= 1.0:
-        assert p.level_of(x - 1.0) >= p.level_of(x) - 1
+@given(ALPHAS, WEIGHTS, INDEGS)
+def test_smooth(alpha, w, x):
+    e = band_engine(alpha, w)
+    assert e._band(0, x + 1) <= e._band(0, x) + 1
+    if x >= 1:
+        assert e._band(0, x - 1) >= e._band(0, x) - 1
 
 
 @settings(max_examples=300)
-@given(
-    st.floats(min_value=0.01, max_value=1.0),
-    st.floats(min_value=1e-6, max_value=1000.0),
-)
-def test_round_trip(alpha, x):
-    p = build_level_params(alpha, 1001.0)
-    i = p.level_of(x)
+@given(ALPHAS, WEIGHTS, st.integers(min_value=1, max_value=1000))
+def test_round_trip(alpha, w, x):
+    e = band_engine(alpha, w)
+    i = e._band(0, x)
     assert i >= 1
-    assert p.boundaries[i - 1] < x + BOUNDARY_TOL
-    assert x <= p.boundaries[i] + BOUNDARY_TOL
+    assert i == float_band(e.params, x, w)
+    b, tol = e.params.boundaries, BOUNDARY_TOL * w
+    assert b[i - 1] * w + tol < x <= b[i] * w + tol
 
 
 @settings(max_examples=300)
-@given(
-    st.floats(min_value=0.01, max_value=1.0),
-    st.floats(min_value=0.0, max_value=1000.0),
-    st.floats(min_value=0.0, max_value=1000.0),
-)
-def test_band_gap_soundness(alpha, x, y):
-    p = build_level_params(alpha, 1001.0)
+@given(ALPHAS, WEIGHTS, INDEGS, INDEGS)
+def test_band_gap_soundness(alpha, w, x, y):
+    e = band_engine(alpha, w)
+    lx, ly = e._band(0, x), e._band(0, y)
     tol = 1e-6
-    if p.level_of(x) <= p.level_of(y):
-        assert x <= (1 + alpha) * y + 1 + tol
-    if p.level_of(x) >= p.level_of(y) + 2:
-        assert x >= (1 + alpha) * y + 1 - tol
+    if lx <= ly:
+        assert x / w <= (1 + alpha) * y / w + 1 + tol
+    if lx >= ly + 2:
+        assert x / w >= (1 + alpha) * y / w + 1 - tol
 
 
 def test_closed_form_cross_check():
-    # agreement away from boundaries, where log/ceil rounding cannot bite
-    p = build_level_params(0.2, 5000.0)
-    for i in range(1, p.top_level):
-        mid = (p.boundaries[i - 1] + p.boundaries[i]) / 2
-        assert p.level_of(mid) == closed_form_level(0.2, mid) == i
+    # agreement away from boundaries, where log/ceil rounding cannot bite;
+    # every band from 2 up is wider than 1, so it holds a load checked here
+    for w in (1.0, 2.0):
+        e = band_engine(0.2, w, 5000.0)
+        top = e.params.top_level
+        b = e.params.boundaries
+        seen = set()
+        for ind in range(int(5000 * w) + 1):
+            x = ind / w
+            if min(abs(x - L) for L in b) > 1e-6:
+                assert e._band(0, ind) == closed_form_level(0.2, x)
+                seen.add(e._band(0, ind))
+        assert seen >= set(range(2, top + 1))
 
 
 def test_table_size_scales_inversely_with_alpha():
@@ -169,3 +233,28 @@ def test_table_size_scales_inversely_with_alpha():
     small = build_level_params(0.1, 10000.0)
     assert big.top_level > small.top_level
     assert big.top_level <= math.ceil(math.log(0.01 * 10000 + 1) / math.log(1.01)) + 1
+
+
+# ----------------------------------------------------------------------
+# the table grows only as far as it is read
+
+
+def test_fresh_engines_hold_one_boundary():
+    assert OrientationEngine(EngineConfig(n=3, epsilon=0.2)).params.boundaries == [0.0]
+    capped = OrientationEngine(EngineConfig(n=3, epsilon=0.2, threshold=100.0))
+    assert capped.params.boundaries == [0.0]
+    g = DirectedDensest(30, 0.2)
+    assert all(e.params.boundaries == [0.0] for e in g.engines())
+
+
+def test_table_grows_to_the_largest_band_read():
+    # a weighted engine at eps 0.01 has a full table of about 2.6 million
+    # boundaries; 16 batched inserts of a duplicated edge read far fewer
+    n, eps = 100, 0.01
+    dup = duplication_factor(n, eps)
+    e = OrientationEngine(EngineConfig(n=n, epsilon=eps, duplication=dup))
+    full = math.log1p(e.alpha * 2.0**32) / math.log1p(e.alpha)
+    assert full > 2_500_000
+    for i in range(16):
+        e.insert(i, i + 1, dup)
+    assert max(e.level(v) for v in range(n)) < len(e.params.boundaries) < 400_000

@@ -33,7 +33,7 @@ def reference_query(g: DirectedDensest) -> DirectedQueryResult:
     n = g.n
     best = None
     for entry in g.entries:
-        engine, regime = entry.active()
+        engine, regime, _ = entry.active()
         res = extract(engine, g.epsilon)
         sources = {v for v in res.vertices if v < n}
         sinks = {v - n for v in res.vertices if v >= n}
@@ -243,6 +243,12 @@ class TestBoundOrder:
                 live.append(tuple(rng.sample(range(hot), 2)))
                 g.insert_directed(*live[-1])
             assert g.query() == reference_query(g)
+            for entry in g.entries:
+                # the peak that active() reads once is its engine's, in
+                # either regime
+                engine, regime, peak = entry.active()
+                assert peak == engine.max_load()
+                assert (regime == "high") == entry.low.saturated()
             saturated |= any(entry.low.saturated() for entry in g.entries)
         if seed % 2:
             assert saturated
@@ -256,7 +262,7 @@ class TestBoundOrder:
             g.insert_directed(u, v)
         cands, bounds = [], []
         for entry in g.entries:
-            engine, _ = entry.active()
+            engine, _, _ = entry.active()
             cands.append(extract(engine, 0.5).certified_density * entry.scale)
             bounds.append(engine.max_load() / engine.config.duplication * entry.scale)
         assert cands[0] == cands[-1] == max(cands)

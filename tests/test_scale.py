@@ -43,7 +43,7 @@ def test_directed_grid_at_benchmark_scale():
             # estimate_upper, and an unsaturated engine is within c2's (1 - eps)
             doubled = {(u, n + v): m for (u, v), m in live.items()}
             for entry in g.entries:
-                engine, regime = entry.active()
+                engine, regime, _ = entry.active()
                 weights = [engine.weight(v) for v in range(2 * n)]
                 res = extract(engine, eps)
                 opt = checker.optimum_undirected(doubled, weights)
