@@ -401,10 +401,8 @@ class OrientationEngine:
     def saturated(self) -> bool:
         """True when the load cap may be hiding a denser optimum.
 
-        Always False for unthresholded instances.
+        Always False for unthresholded instances, whose trigger is infinite.
         """
-        if self.threshold == INF:
-            return False
         return self.max_load() >= self.saturation_trigger()
 
     def verify_local_optimality(self) -> list[dict]:
@@ -663,49 +661,3 @@ class OrientationEngine:
                 self._relabel(arc, lx)
         if deepest > stats[chain]:
             stats[chain] = deepest
-
-    # ------------------------------------------------------------------
-    # diagnostics
-
-    def debug_audit(self) -> None:
-        """Cross-check every redundant structure; raises AssertionError."""
-        n = self.config.n
-        top = self.params.top_level  # the float bisect reads the full table
-        ind = [0] * n
-        copies = 0
-        for v, into in enumerate(self._adj):
-            for u, a in into.items():
-                assert a.head == v and a.tail == u, f"arc {u}->{v} keyed wrong"
-                assert self._adj[u].get(v) is a.twin, f"no mirror of {u}->{v}"
-                assert a.count > 0 or a.twin.count > 0, "dead pair retained"
-                ind[v] += a.count
-                copies += a.count
-                if a.count > 0:
-                    lb = a.label_level
-                    assert 0 <= lb <= top, f"label {lb} out of range"
-                    assert a in self._in[v].get(lb, ()), "live arc unfiled"
-                    assert a in self._out[u].get(lb, ()), "live arc unfiled"
-        assert copies == self._copies, "copy counter drift"
-        for v in range(n):
-            assert ind[v] == self._ind[v], f"indeg drift at {v}"
-            kcap = self._kcap[v]
-            if kcap is not None and self._ind[v] >= kcap:
-                expect = top
-            else:
-                # the float definition of the band, bypassing the thresholds
-                w = self._w[v]
-                tol = BOUNDARY_TOL * w
-                expect = bisect_left(
-                    self.params.boundaries, self._ind[v], key=lambda b: b * w + tol
-                )
-            assert self._lvl[v] == expect, f"cached level drift at {v}"
-            assert v in self._layers[self._lvl[v]], f"layer bucket drift at {v}"
-        for level, members in self._layers.items():
-            assert members, f"empty layer bucket {level} retained"
-        for v in range(n):
-            for keys, end in ((self._in[v], "head"), (self._out[v], "tail")):
-                for band, bucket in keys.items():
-                    assert bucket, f"empty label bucket {band} retained at {v}"
-                    for a in bucket:
-                        assert a.count > 0, f"arc without copies filed at {v}"
-                        assert getattr(a, end) == v and a.label_level == band

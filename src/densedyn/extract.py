@@ -63,8 +63,9 @@ class ExtractionResult:
 def extract(engine: OrientationEngine, epsilon: float) -> ExtractionResult:
     """Best usable load-band prefix of the orientation."""
     dup = engine.config.duplication
-    upper = engine.max_load() / dup
-    valid = not engine.saturated()
+    peak = engine.max_load()
+    upper = peak / dup
+    valid = peak < engine.saturation_trigger()
     if engine.total_copies == 0:
         return ExtractionResult(frozenset(), 0.0, upper, 0, valid)
 

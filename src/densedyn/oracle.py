@@ -1,12 +1,10 @@
 """Brute-force ground truth for small graphs.
 
 Exhaustive maximization of undirected weighted density ``|E(S)| / w(S)`` and
-directed density ``|E(S,T)| / sqrt(|S||T|)``, plus the doubled-graph
-construction that converts the directed problem into a vertex-weighted
-undirected one.  Everything here is deliberately independent of the dynamic
-data structures, except the guess grid's step, which it takes from the
-reducer so that both build the same grid.  Densities are compared in exact
-integer/rational arithmetic so tests never argue with floating point.
+directed density ``|E(S,T)| / sqrt(|S||T|)``.  Everything here is
+deliberately independent of the dynamic data structures.  Densities are
+compared in exact integer/rational arithmetic so tests never argue with
+floating point.
 
 Only intended for desk-scale instances (see the caps); used by tests and the
 CLI verify/oracle commands.
@@ -20,8 +18,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-
-from .reducer import ratio_step_squared
 
 UNDIRECTED_CAP = 16
 DIRECTED_CAP = 8
@@ -155,28 +151,13 @@ def exact_ddsg(
     ``S`` and ``T`` may overlap.  The witness is the lexicographically
     smallest ``(sorted(S), sorted(T))`` among exact maximizers.
     """
-    e, s_mask, t_mask = _ddsg_profile(g, cap)
-    if e == 0:
-        return 0.0, set(_mask_vertices(s_mask)), set(_mask_vertices(t_mask))
-    s, t = _mask_vertices(s_mask), _mask_vertices(t_mask)
-    return e / math.sqrt(len(s) * len(t)), set(s), set(t)
-
-
-def exact_ddsg_density_squared(g: SmallGraph, cap: int = DIRECTED_CAP) -> Fraction:
-    """Exact square of the optimum directed density."""
-    e, s_mask, t_mask = _ddsg_profile(g, cap)
-    if e == 0:
-        return Fraction(0)
-    return Fraction(e * e, bin(s_mask).count("1") * bin(t_mask).count("1"))
-
-
-def _ddsg_profile(g: SmallGraph, cap: int) -> tuple[int, int, int]:
     if not g.directed:
         raise ValueError("exact_ddsg expects a directed graph")
     if g.n > cap:
         raise ValueError(f"vertex count {g.n} exceeds brute-force cap {cap}")
     if g.n == 0 or not g.edges:
-        return 0, 1 if g.n else 0, 1 if g.n else 0
+        side = {0} if g.n else set()
+        return 0.0, side, set(side)
 
     edge_cnt, sizes = _edge_counts(g)
     size_s = np.maximum(sizes[:, None], 1)
@@ -204,120 +185,9 @@ def _ddsg_profile(g: SmallGraph, cap: int) -> tuple[int, int, int]:
             old = (_mask_vertices(bsm), _mask_vertices(btm))
             if cur < old:
                 best_profile = (e, sm, tm)
-    return best_profile
-
-
-def doubled_graph(g: SmallGraph, t: float) -> SmallGraph:
-    """Bipartite undirected view of a directed graph for side-ratio guess ``t``.
-
-    Left copies keep the original ids, right copies are offset by ``n``; a
-    directed edge (u, v) becomes the undirected edge {u, n + v}.  Left weight
-    is 1/(2t), right weight is t/2.
-    """
-    t = Fraction(t).limit_denominator(10**12) if not isinstance(t, Fraction) else t
-    return _doubled(g, left_w=1 / (2 * t), right_w=t / 2)
-
-
-def _doubled(g: SmallGraph, left_w: Fraction, right_w: Fraction) -> SmallGraph:
-    if not g.directed:
-        raise ValueError("doubled_graph expects a directed graph")
-    out = SmallGraph(
-        n=2 * g.n, directed=False, weights=[left_w] * g.n + [right_w] * g.n
-    )
-    for (u, v), m in g.edges.items():
-        out.add_edge(u, g.n + v, m)
-    return out
-
-
-def exact_reduced(g: SmallGraph, t: float, cap: int = UNDIRECTED_CAP) -> float:
-    """Optimum weighted density of the doubled graph at guess ``t``."""
-    if isinstance(t, Fraction):
-        t_squared = t * t
-    else:
-        t_squared = Fraction(t * t).limit_denominator(10**12)
-    e, a_left, a_right = _best_reduced(g, t_squared, cap)
-    if e == 0:
-        return 0.0
-    tf = float(t)
-    return e / ((a_left / tf + a_right * tf) / 2.0)
-
-
-def exact_reduced_density_squared(
-    g: SmallGraph, t_squared: Fraction, cap: int = UNDIRECTED_CAP
-) -> Fraction:
-    """Exact square of the doubled-graph optimum, parameterized by ``t**2``.
-
-    Keeping ``t**2`` rational (grid guesses have rational squares) makes the
-    reduction checks exact even though ``t`` itself is irrational.
-    """
-    e, a_left, a_right = _best_reduced(g, t_squared, cap)
-    if e == 0:
-        return Fraction(0)
-    # density = e / ((a_left / t + a_right * t) / 2)
-    # density^2 = 4 e^2 t^2 / (a_left + a_right t^2)^2
-    p, q = t_squared.numerator, t_squared.denominator
-    return Fraction(4 * e * e * p * q, (a_left * q + a_right * p) ** 2)
-
-
-def _best_reduced(
-    g: SmallGraph, t_squared: Fraction, cap: int
-) -> tuple[int, int, int]:
-    """Maximizer profile (edges, left-size, right-size) of the doubled graph.
-
-    Density order for fixed ``t``:  E1/w(S1) >= E2/w(S2)  iff
-    E1*(aL2*q + aR2*p) >= E2*(aL1*q + aR1*p)  with t^2 = p/q, since
-    w(S) = (aL/t + aR*t)/2.  Integer arithmetic throughout.
-    """
-    if not g.directed:
-        raise ValueError("reduction expects a directed graph")
-    if 2 * g.n > cap:
-        raise ValueError(f"doubled vertex count {2 * g.n} exceeds cap {cap}")
-    if not g.edges:
-        return (0, 1, 0)
-    p, q = t_squared.numerator, t_squared.denominator
-
-    edge_cnt, sizes = _edge_counts(g)
-
-    # float pre-pass over all (S_left, T_right) pairs; exact pass follows
-    pf, qf = float(p), float(q)
-    wval = sizes[:, None] * qf + sizes[None, :] * pf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.where(wval > 0, edge_cnt / np.maximum(wval, 1e-300), -1.0)
-    best = dens.max()
-    cand_s, cand_t = np.nonzero(dens >= best - _NEAR_TIE * (abs(best) + 1))
-
-    best_profile = (0, 1, 0)
-    for sm, tm in zip(cand_s.tolist(), cand_t.tolist()):
-        e = int(edge_cnt[sm, tm])
-        al, ar = int(sizes[sm]), int(sizes[tm])
-        be, bal, bar = best_profile
-        cmp = e * (bal * q + bar * p) - be * (al * q + ar * p)
-        if cmp > 0 or (cmp == 0 and e > be):
-            best_profile = (e, al, ar)
-    return best_profile
-
-
-def reduction_grid_squared(n: int, eps: Fraction) -> list[Fraction]:
-    """Squares of the geometric guess grid spanning [1/sqrt(n), sqrt(n)].
-
-    Entries are ``s^j / n`` while below ``n``, with ``n`` (the square of the
-    clamped top guess) appended exactly.  The step ``s`` is the reducer's
-    exact ``ratio_step_squared``, so this grid is the one ``ratio_grid``
-    builds in floats: every ratio in range is within a factor ``q`` of a
-    guess, which loses at most ``1 - 2/(q + 1/q) = GRID_SHARE * eps``.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    step = ratio_step_squared(float(eps))
-    out = [Fraction(1, n)]
-    while out[-1] * step < n:
-        out.append(out[-1] * step)
-    if out[-1] != n:
-        out.append(Fraction(n))
-    return out
+    e, sm, tm = best_profile
+    s, t = _mask_vertices(sm), _mask_vertices(tm)
+    return e / math.sqrt(len(s) * len(t)), set(s), set(t)
 
 
 def check_alpha_beta_optimality(

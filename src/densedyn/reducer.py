@@ -67,6 +67,8 @@ def ratio_grid(n: int, eps: float) -> list[float]:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     root = math.sqrt(n)
     step = float(ratio_step_squared(eps))
+    if step <= 1.0:
+        raise ValueError(f"eps {eps} is too small: the ratio grid's step rounds to 1")
     out = []
     j = 0
     # same stopping rule as the exact-rational grid: s^j < n^2

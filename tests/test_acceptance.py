@@ -27,6 +27,11 @@ from densedyn.engine import (
 from densedyn.extract import extract
 from densedyn.levels import build_level_params
 from densedyn.reducer import DirectedDensest, GridParams
+from reference import (
+    exact_ddsg_density_squared,
+    exact_reduced_density_squared,
+    reduction_grid_squared,
+)
 
 SEED = 20260810
 
@@ -211,7 +216,7 @@ def test_c3_ddsg_oracle():
                 continue
             queries += 1
             res = grid.query()
-            opt_sq = oracle.exact_ddsg_density_squared(mirror)
+            opt_sq = exact_ddsg_density_squared(mirror)
             # soundness, compared exactly: estimate is an exact density of a
             # concrete pair, so it may never exceed the optimum
             if res.sources:
@@ -244,7 +249,7 @@ def test_c4_reduction_exhaustive():
     eps = Fraction(1, 10)
     rng = random.Random(SEED + 4)
     pairs = [(u, v) for u in range(4) for v in range(4) if u != v]
-    grid_sq = oracle.reduction_grid_squared(4, eps)
+    grid_sq = reduction_grid_squared(4, eps)
     masks = rng.sample(range(1 << len(pairs)), 2000)
     checked = 0
     for mask in masks:
@@ -252,10 +257,10 @@ def test_c4_reduction_exhaustive():
         for i, (u, v) in enumerate(pairs):
             if (mask >> i) & 1:
                 g.add_edge(u, v)
-        opt_sq = oracle.exact_ddsg_density_squared(g)
+        opt_sq = exact_ddsg_density_squared(g)
         best_sq = Fraction(0)
         for t_sq in grid_sq:
-            red_sq = oracle.exact_reduced_density_squared(g, t_sq)
+            red_sq = exact_reduced_density_squared(g, t_sq)
             assert red_sq <= opt_sq, "doubled-graph optimum exceeded directed optimum"
             best_sq = max(best_sq, red_sq)
         assert best_sq >= (1 - eps) ** 2 * opt_sq, "grid maximum not near-tight"

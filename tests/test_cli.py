@@ -83,6 +83,15 @@ def test_run_engine_error_exits_one(tmp_path):
     assert "event 0" in result.output
 
 
+def test_run_eps_too_small_for_the_ratio_grid_exits_one(tmp_path):
+    path = _write(tmp_path, "h 3 ddsg 1e-14\n+ 0 1\n?\n")
+    result = CliRunner().invoke(cli.main, ["run", "--stream", path])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: eps 1e-14 is too small" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_determinism_bytes(tmp_path):
     path = _write(
         tmp_path, stream.random_stream_text(5, "ddsg", 0.3, 30, seed=7, query_every=10)

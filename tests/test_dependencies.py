@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -22,3 +23,18 @@ def test_package_does_not_import_sortedcontainers():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the oracle is the ground truth the dynamic structures are checked
+    # against, so it shares no code with them
+    path = Path(densedyn.__file__).with_name("oracle.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "densedyn":
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "densedyn" for a in node.names):
+                found.append(ast.unparse(node))
+    assert found == []

@@ -10,6 +10,7 @@ from densedyn import engine as engine_module
 from densedyn import oracle
 from densedyn.engine import ALPHA_C, INF, LOOP_C, EngineConfig, OrientationEngine
 from densedyn.levels import BOUNDARY_TOL, build_level_params
+from reference import audit
 
 
 def make(n, eps=0.5, weights=None, alpha=None, loop_c=LOOP_C, **kw):
@@ -21,7 +22,7 @@ def make(n, eps=0.5, weights=None, alpha=None, loop_c=LOOP_C, **kw):
         e.alpha = alpha
         e.params = build_level_params(alpha, e.params.max_value)
         e.budget = math.ceil(loop_c / alpha)
-        e.debug_audit()
+        audit(e)
     return e
 
 
@@ -105,7 +106,7 @@ class TestInsert:
         assert e.indeg(0) == 1
         assert rec["label_vu"] == e._band(0, 1)
         assert not e.verify_local_optimality()
-        e.debug_audit()
+        audit(e)
 
     def test_orients_toward_smaller_load(self):
         # pump vertices 1 and 2 to load 5 via a parallel bundle, keep 0 idle
@@ -116,7 +117,7 @@ class TestInsert:
         rec = arc_pair_record(e, 0, 1)
         assert rec["count_vu"] == 1  # 1 -> 0, toward the idle endpoint
         assert e.indeg(0) == 1
-        e.debug_audit()
+        audit(e)
 
     def test_multiplicity_conservation(self):
         e = make(2)
@@ -151,7 +152,7 @@ class TestDelete:
         assert e.indeg(0) == 0 and e.indeg(1) == 0
         assert e.max_load() == 0.0
         assert arc_pair_record(e, 0, 1)["count_uv"] == 0
-        e.debug_audit()
+        audit(e)
 
     def test_removes_copy_into_higher_load_head(self):
         # both directions live, loads 2.0 vs 1.5: the copy into the
@@ -166,7 +167,7 @@ class TestDelete:
         assert e.indeg(0) == before - 1 or e.indeg(0) == before  # rebalance may refill
         rec2 = arc_pair_record(e, 0, 1)
         assert rec2["count_uv"] + rec2["count_vu"] == 7
-        e.debug_audit()
+        audit(e)
 
     def test_rejects_absent_edge(self):
         e = make(3)
@@ -189,7 +190,7 @@ class TestDelete:
             e.delete(u, v)
         assert e.total_copies == 0
         assert all(e.indeg(v) == 0 for v in range(4))
-        e.debug_audit()
+        audit(e)
 
 
 class TestRebalancing:
@@ -205,7 +206,7 @@ class TestRebalancing:
         assert e.indeg(1) == 1
         assert e.stats["flips"] == 1
         assert not e.verify_local_optimality()
-        e.debug_audit()
+        audit(e)
 
     def test_fresh_arc_is_left_alone(self):
         e = make(2)
@@ -229,7 +230,7 @@ class TestRebalancing:
         rec = arc_pair_record(e, 0, 1)
         assert rec["count_uv"] == 5 and rec["count_vu"] == 2
         assert not e.verify_local_optimality()
-        e.debug_audit()
+        audit(e)
 
     def test_decrease_pass_resets_exactly_budget_labels(self):
         # six stale-high incoming directions at vertex 0; one deletion resets
@@ -356,7 +357,7 @@ class TestVerify:
                 e.insert(u, v)
                 live.append((u, v))
             assert e.verify_local_optimality() == []
-        e.debug_audit()
+        audit(e)
 
     def test_band_gap_implies_load_inequality(self):
         # the checker's band constants translate into multiplicative local
@@ -417,7 +418,7 @@ def test_conservation_and_consistency(ops):
     for (u, v), count in mirror.items():
         assert e.pair_copies(u, v) == count
     assert e.verify_local_optimality() == []
-    e.debug_audit()
+    audit(e)
 
 
 def float_band(e, v):
@@ -450,7 +451,7 @@ def test_cached_bands_match_float_rule():
             assert e.level(w) == float_band(e, w) or (
                 e.threshold != INF and e.indeg(w) >= e._kcap[w]
             )
-    e.debug_audit()
+    audit(e)
 
 
 # ----------------------------------------------------------------------
@@ -512,7 +513,7 @@ def test_batched_updates_keep_invariants(kind, ops):
         assert sum(e.indeg(x) for x in range(e.n)) == e.total_copies
         for (a, b), count in mirror.items():
             assert e.pair_copies(a, b) == count
-        e.debug_audit()
+        audit(e)
         assert e.verify_local_optimality() == []
 
 
@@ -545,7 +546,7 @@ def test_incoming_labels_stay_near_their_band_under_churn():
             live[(u, v)] += 1
         for x in range(4):
             assert all(abs(b - e.level(x)) <= 4 for b in e._in[x])
-        e.debug_audit()
+        audit(e)
     assert e.verify_local_optimality() == []
 
 
@@ -587,11 +588,11 @@ def test_debug_audit_catches_planted_faults(plant, message):
     # adjacency map makes the audit fail
     e = make(3)
     e.insert(0, 1)  # a tie: the copy points at the smaller id
-    e.debug_audit()
+    audit(e)
     assert e._adj[0][1].count == 1 and e._adj[1][0].count == 0
     plant(e)
     with pytest.raises(AssertionError, match=message):
-        e.debug_audit()
+        audit(e)
 
 
 def test_debug_audit_catches_wrong_threshold():
@@ -606,7 +607,7 @@ def test_debug_audit_catches_wrong_threshold():
     e.insert(0, 2)  # the copy goes to vertex 2, the lighter endpoint
     assert e.indeg(2) == 1 and e.level(2) == 2
     with pytest.raises(AssertionError, match="cached level drift at 2"):
-        e.debug_audit()
+        audit(e)
 
 
 def test_relabel_to_same_band_keeps_place():
@@ -631,7 +632,7 @@ def test_relabel_to_same_band_keeps_place():
     for arc in list(bucket):
         e._relabel(arc, band)
         assert index_state() == before
-    e.debug_audit()
+    audit(e)
 
 
 def _greedy_insert_split(e, u, v, k):

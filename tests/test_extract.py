@@ -142,6 +142,9 @@ class Banded:
     def max_load(self):
         return max(i / w for i, w in zip(self._ind, self._w))
 
+    def saturation_trigger(self):
+        return INF
+
     def saturated(self):
         return False
 
@@ -206,6 +209,16 @@ class TestExtract:
         assert e.saturated()
         res = extract(e, 0.5)
         assert not res.valid
+
+    def test_reads_peak_load_once(self):
+        # the bound and the saturation test share one read of the peak
+        e = make(8, eps=0.5, threshold=50.0)
+        e.insert(0, 1, multiplicity=3)
+        calls = []
+        max_load = e.max_load
+        e.max_load = lambda: calls.append(None) or max_load()
+        extract(e, 0.5)
+        assert len(calls) == 1
 
 
 class TestInducedDensity:

@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 from densedyn import oracle
 from densedyn.engine import GRID_SHARE
 from densedyn.reducer import ratio_step_squared
+from reference import (
+    exact_ddsg_density_squared,
+    exact_reduced_density_squared,
+    reduction_grid_squared,
+)
 
 
 def _directed(n, edges):
@@ -96,30 +101,15 @@ class TestExactDdsg:
 class TestExactReduced:
     def test_single_edge_matched_guess(self):
         g = _directed(2, [(0, 1)])
-        assert oracle.exact_reduced(g, 1.0) == pytest.approx(1.0)
+        assert exact_reduced_density_squared(g, Fraction(1)) == 1
 
     def test_single_edge_overshot_guess(self):
+        # t = 2: density 1 / ((1/2 + 2) / 2) = 4/5
         g = _directed(2, [(0, 1)])
-        assert oracle.exact_reduced(g, 2.0) == pytest.approx(0.8)
+        assert exact_reduced_density_squared(g, Fraction(4)) == Fraction(16, 25)
 
     def test_edgeless(self):
-        assert oracle.exact_reduced(_directed(3, []), 1.0) == 0.0
-
-    def test_squared_form_agrees(self):
-        g = _directed(3, [(0, 1), (1, 2), (0, 2)])
-        for t in (0.5, 1.0, 1.7):
-            sq = oracle.exact_reduced_density_squared(
-                g, Fraction(t * t).limit_denominator(10**9)
-            )
-            assert math.sqrt(float(sq)) == pytest.approx(oracle.exact_reduced(g, t))
-
-    def test_doubled_graph_shape(self):
-        g = _directed(2, [(0, 1)])
-        d = oracle.doubled_graph(g, 2.0)
-        assert d.n == 4
-        assert d.weights[0] == Fraction(1, 4)
-        assert d.weights[2] == Fraction(1)
-        assert dict(d.edges) == {(0, 3): 1}
+        assert exact_reduced_density_squared(_directed(3, []), Fraction(1)) == 0
 
 
 class TestReductionFacts:
@@ -134,18 +124,18 @@ class TestReductionFacts:
             yield _directed(3, edges)
 
     def test_reduced_never_exceeds_directed_optimum(self):
-        grid = oracle.reduction_grid_squared(3, Fraction(1, 10))
+        grid = reduction_grid_squared(3, Fraction(1, 10))
         for g in self._all_graphs_on_3():
-            opt_sq = oracle.exact_ddsg_density_squared(g)
+            opt_sq = exact_ddsg_density_squared(g)
             for t_sq in grid:
-                assert oracle.exact_reduced_density_squared(g, t_sq) <= opt_sq
+                assert exact_reduced_density_squared(g, t_sq) <= opt_sq
 
     def test_grid_max_is_near_tight(self):
         eps = Fraction(1, 10)
-        grid = oracle.reduction_grid_squared(3, eps)
+        grid = reduction_grid_squared(3, eps)
         for g in self._all_graphs_on_3():
-            opt_sq = oracle.exact_ddsg_density_squared(g)
-            best = max(oracle.exact_reduced_density_squared(g, t_sq) for t_sq in grid)
+            opt_sq = exact_ddsg_density_squared(g)
+            best = max(exact_reduced_density_squared(g, t_sq) for t_sq in grid)
             assert best >= (1 - eps) ** 2 * opt_sq
 
     def test_shape_lower_bound_at_optimal_pairs(self):
@@ -160,18 +150,18 @@ class TestReductionFacts:
 
 class TestGrid:
     def test_grid_example(self):
-        grid = oracle.reduction_grid_squared(4, Fraction(1, 2))
+        grid = reduction_grid_squared(4, Fraction(1, 2))
         assert len(grid) == 3
         assert grid[0] == Fraction(1, 4)
         assert grid[-1] == Fraction(4)
 
     def test_single_vertex(self):
-        assert oracle.reduction_grid_squared(1, Fraction(1, 5)) == [Fraction(1)]
+        assert reduction_grid_squared(1, Fraction(1, 5)) == [Fraction(1)]
 
     def test_spacing(self):
         eps = Fraction(1, 5)
         step = ratio_step_squared(float(eps))
-        grid = oracle.reduction_grid_squared(9, eps)
+        grid = reduction_grid_squared(9, eps)
         for a, b in zip(grid, grid[1:]):
             assert b <= a * step
 
@@ -181,7 +171,7 @@ class TestGrid:
         # guess t^2 scales the density of an a x b pair by
         # 2 sqrt(ab) t / (a + t^2 b); some guess must keep 1 - GRID_SHARE * eps
         keep = (1 - Fraction(GRID_SHARE) * eps) ** 2
-        grid = oracle.reduction_grid_squared(n, eps)
+        grid = reduction_grid_squared(n, eps)
         for a in range(1, n + 1):
             for b in range(1, n + 1):
                 assert any(
@@ -217,5 +207,4 @@ def test_reduced_below_optimum_random_guess(n, rnd):
             if u != v and rnd.random() < 0.4:
                 g.add_edge(u, v)
     t = 2 ** (rnd.random() * 4 - 2)
-    opt, _, _ = oracle.exact_ddsg(g)
-    assert oracle.exact_reduced(g, t) <= opt + 1e-9
+    assert exact_reduced_density_squared(g, Fraction(t * t)) <= exact_ddsg_density_squared(g)

@@ -11,6 +11,7 @@ from densedyn import oracle
 from densedyn.engine import duplication_factor
 from densedyn.extract import extract
 from densedyn.reducer import DirectedDensest, DirectedQueryResult, GridParams, ratio_grid
+from reference import audit, reduction_grid_squared
 
 
 def best_t_sanity(sources, sinks) -> float:
@@ -72,7 +73,7 @@ class TestRatioGrid:
     def test_matches_exact_grid(self):
         for n, eps in [(4, Fraction(1, 2)), (8, Fraction(1, 5)), (9, Fraction(1, 10))]:
             floats = ratio_grid(n, float(eps))
-            exact = oracle.reduction_grid_squared(n, eps)
+            exact = reduction_grid_squared(n, eps)
             assert len(floats) == len(exact)
             for t, t_sq in zip(floats, exact):
                 assert t * t == pytest.approx(float(t_sq), rel=1e-9)
@@ -82,6 +83,12 @@ class TestRatioGrid:
             ratio_grid(0, 0.5)
         with pytest.raises(ValueError):
             ratio_grid(4, 1.5)
+
+    def test_rejects_eps_whose_step_rounds_to_one(self):
+        # below eps of about 1e-13 the step is exactly 1, so the grid would
+        # never reach sqrt(n)
+        with pytest.raises(ValueError, match="step rounds to 1"):
+            ratio_grid(3, 1e-14)
 
 
 class TestConstruction:
@@ -389,7 +396,7 @@ class DirectedMachine(RuleBasedStateMachine):
     @invariant()
     def engines_healthy(self):
         for e in self.g.engines():
-            e.debug_audit()
+            audit(e)
             assert e.verify_local_optimality() == []
             assert e.stats["max_chain_inc"] <= e.level_count
             assert e.stats["max_chain_dec"] <= e.level_count
