@@ -17,7 +17,6 @@ from .levels import LevelParams, build_level_params
 from .reducer import (
     DirectedDensest,
     DirectedQueryResult,
-    GridParams,
     ratio_grid,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "DirectedQueryResult",
     "EngineConfig",
     "ExtractionResult",
-    "GridParams",
     "INF",
     "LevelParams",
     "OrientationEngine",

@@ -56,7 +56,8 @@ from dataclasses import dataclass
 from .levels import BOUNDARY_TOL, LevelParams, build_level_params
 
 INF = math.inf
-DEFAULT_CAPACITY = 2**32
+# Most edge copies one engine holds, and the top of an uncapped level table.
+CAPACITY = 2**32
 # Weight of the log term in a thresholded instance's saturation trigger.
 SATURATION_C = 1.0
 # Scales the band width alpha, which is ALPHA_C * eps^2 / log2(n * W).
@@ -77,15 +78,15 @@ def log_scale(x: float) -> float:
     return math.log2(max(2.0, x))
 
 
-def duplication_factor(scale: float, eps: float, c: float = DUP_C) -> int:
+def duplication_factor(scale: float, eps: float) -> int:
     """How many copies of each edge inflate the optimum enough that the
     additive error of the orientation becomes a relative eps-factor."""
-    return max(1, math.ceil(c * log_scale(scale) / (eps * eps)))
+    return max(1, math.ceil(DUP_C * log_scale(scale) / (eps * eps)))
 
 
-def threshold_value(scale: float, eps: float, c: float = THRESHOLD_C) -> float:
+def threshold_value(scale: float, eps: float) -> float:
     """Load cap for a low-density instance."""
-    return c * log_scale(scale) ** 2 / eps**4
+    return THRESHOLD_C * log_scale(scale) ** 2 / eps**4
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,6 @@ class EngineConfig:
     epsilon: float
     threshold: float = INF
     duplication: int = 1
-    capacity: int = DEFAULT_CAPACITY
 
     def validate(self, max_weight: float) -> None:
         if self.n < 1:
@@ -109,8 +109,13 @@ class EngineConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if self.duplication < 1:
             raise ValueError("duplication must be a positive integer")
-        if self.capacity < 1:
-            raise ValueError("capacity must be positive")
+        if self.duplication > CAPACITY:
+            # the duplication grows as 1 / eps^2, so this is where eps is
+            # too small for any edge to fit
+            raise ValueError(
+                f"eps {self.epsilon} is too small: each edge takes "
+                f"{self.duplication} copies, more than the capacity {CAPACITY}"
+            )
         if self.threshold != INF:
             floor = log_scale(self.n * max_weight) / self.epsilon**2
             if self.threshold < floor - BOUNDARY_TOL:
@@ -134,20 +139,9 @@ class _Arc:
 
 
 def _last_true(lo: int, hi: int, ok) -> int:
-    """Largest ``x`` in ``[lo, hi]`` with ``ok(x)``, for a predicate that holds
-    at ``lo`` (never evaluated there) and switches to false at most once.
-
-    Gallops up from ``lo`` and then binary-searches, so a small answer costs
-    only a few probes.
-    """
-    step = 1
-    while lo < hi:
-        probe = min(lo + step, hi)
-        if not ok(probe):
-            hi = probe - 1
-            break
-        lo = probe
-        step *= 2
+    """Largest ``x`` in ``[lo, hi]`` with ``ok(x)``, by binary search, for a
+    predicate that holds at ``lo`` (never evaluated there) and switches to
+    false at most once."""
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if ok(mid):
@@ -201,7 +195,7 @@ class OrientationEngine:
         self.alpha = ALPHA_C * eps * eps / log_scale(n * max_w)
         self.budget = math.ceil(LOOP_C / self.alpha)
         self.threshold = config.threshold
-        max_value = config.capacity if self.threshold == INF else self.threshold
+        max_value = CAPACITY if self.threshold == INF else self.threshold
         self.params: LevelParams = build_level_params(self.alpha, max_value)
 
         self._w = w
@@ -253,14 +247,8 @@ class OrientationEngine:
     def indeg(self, v: int) -> int:
         return self._ind[v]
 
-    def load(self, v: int) -> float:
-        return self._ind[v] / self._w[v]
-
     def thresholded_load(self, v: int) -> float:
         return self._tload(v, self._ind[v])
-
-    def level(self, v: int) -> int:
-        return self._lvl[v]
 
     def copies_to(self, v: int, members) -> int:
         """Total copies of the edges between ``v`` and the vertices in
@@ -306,7 +294,7 @@ class OrientationEngine:
         self._check_pair(u, v)
         if multiplicity < 1:
             raise ValueError("multiplicity must be positive")
-        if self._copies + multiplicity > self.config.capacity:
+        if self._copies + multiplicity > CAPACITY:
             raise ValueError("edge capacity exceeded")
         k = multiplicity
         p, q = (u, v) if u < v else (v, u)
@@ -392,18 +380,13 @@ class OrientationEngine:
         return max(self.thresholded_load(v) for v in self._layers[top])
 
     def saturation_trigger(self) -> float:
-        """Peak load at which a thresholded instance stops being trusted."""
+        """Peak load at which a thresholded instance stops being trusted: the
+        load cap may be hiding a denser optimum.  Infinite for an
+        unthresholded instance."""
         cfg = self.config
         return (1.0 - cfg.epsilon) * self.threshold - SATURATION_C * log_scale(
             cfg.n * self.max_weight
         ) / cfg.epsilon
-
-    def saturated(self) -> bool:
-        """True when the load cap may be hiding a denser optimum.
-
-        Always False for unthresholded instances, whose trigger is infinite.
-        """
-        return self.max_load() >= self.saturation_trigger()
 
     def verify_local_optimality(self) -> list[dict]:
         """Full scan for band-inequality violations; empty means healthy.

@@ -89,7 +89,7 @@ def _mask_vertices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def exact_vwdsg(g: SmallGraph, cap: int = UNDIRECTED_CAP) -> tuple[float, set[int]]:
+def exact_vwdsg(g: SmallGraph) -> tuple[float, set[int]]:
     """Maximize ``|E(S)| / w(S)`` over all nonempty subsets.
 
     Returns the optimum density and the lexicographically smallest witness
@@ -97,8 +97,8 @@ def exact_vwdsg(g: SmallGraph, cap: int = UNDIRECTED_CAP) -> tuple[float, set[in
     """
     if g.directed:
         raise ValueError("exact_vwdsg expects an undirected graph")
-    if g.n > cap:
-        raise ValueError(f"vertex count {g.n} exceeds brute-force cap {cap}")
+    if g.n > UNDIRECTED_CAP:
+        raise ValueError(f"vertex count {g.n} exceeds brute-force cap {UNDIRECTED_CAP}")
     if g.n == 0:
         return 0.0, set()
 
@@ -135,17 +135,15 @@ def exact_vwdsg(g: SmallGraph, cap: int = UNDIRECTED_CAP) -> tuple[float, set[in
     return float(density), set(best_vs)
 
 
-def exact_vwdsg_density(g: SmallGraph, cap: int = UNDIRECTED_CAP) -> Fraction:
+def exact_vwdsg_density(g: SmallGraph) -> Fraction:
     """Exact rational optimum of ``|E(S)| / w(S)``."""
-    density, witness = exact_vwdsg(g, cap=cap)
+    density, witness = exact_vwdsg(g)
     e = sum(m for (u, v), m in g.edges.items() if u in witness and v in witness)
     w = sum(g.weights[v] for v in witness)
     return Fraction(e, 1) / w if w else Fraction(0)
 
 
-def exact_ddsg(
-    g: SmallGraph, cap: int = DIRECTED_CAP
-) -> tuple[float, set[int], set[int]]:
+def exact_ddsg(g: SmallGraph) -> tuple[float, set[int], set[int]]:
     """Maximize ``|E(S,T)| / sqrt(|S||T|)`` over all nonempty pairs.
 
     ``S`` and ``T`` may overlap.  The witness is the lexicographically
@@ -153,8 +151,8 @@ def exact_ddsg(
     """
     if not g.directed:
         raise ValueError("exact_ddsg expects a directed graph")
-    if g.n > cap:
-        raise ValueError(f"vertex count {g.n} exceeds brute-force cap {cap}")
+    if g.n > DIRECTED_CAP:
+        raise ValueError(f"vertex count {g.n} exceeds brute-force cap {DIRECTED_CAP}")
     if g.n == 0 or not g.edges:
         side = {0} if g.n else set()
         return 0.0, side, set(side)

@@ -24,11 +24,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .engine import (
-    DEFAULT_CAPACITY,
-    DUP_C,
     GRID_SHARE,
     INF,
-    THRESHOLD_C,
     EngineConfig,
     OrientationEngine,
     duplication_factor,
@@ -80,17 +77,6 @@ def ratio_grid(n: int, eps: float) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class GridParams:
-    """Duplication, load cap and edge capacity shared by all instances of one
-    grid.  Smaller ``dup_c``/``threshold_c`` than the engine defaults let
-    desk-scale graphs reach the load cap."""
-
-    dup_c: float = DUP_C
-    threshold_c: float = THRESHOLD_C
-    capacity: int = DEFAULT_CAPACITY
-
-
 @dataclass
 class GridEntry:
     """Both engines for one side-ratio guess."""
@@ -126,18 +112,21 @@ _EMPTY_RESULT = DirectedQueryResult(0.0, frozenset(), frozenset(), 0.0, "low")
 class DirectedDensest:
     """Dynamic (1 - O(eps))-approximate directed densest subgraph."""
 
-    def __init__(self, n: int, epsilon: float, params: GridParams = GridParams()):
+    def __init__(self, n: int, epsilon: float):
         if n < 1:
             raise ValueError("n must be positive")
         if not 0.0 < epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         self.n = n
         self.epsilon = epsilon
-        self.params = params
-        self.dup = duplication_factor(n, epsilon, params.dup_c)
-        self.cap = threshold_value(n, epsilon, params.threshold_c)
+        self.dup = duplication_factor(n, epsilon)
+        self.cap = threshold_value(n, epsilon)
         low_config = EngineConfig(n=2 * n, epsilon=epsilon, threshold=self.cap,
-                                  duplication=self.dup, capacity=params.capacity)
+                                  duplication=self.dup)
+        # checked before the grid is built: at an eps where no edge fits, the
+        # grid can hold millions of guesses.  The top guess weighs its right
+        # side n, the largest weight of any guess.
+        low_config.validate(n)
         high_config = replace(low_config, threshold=INF, duplication=1)
         self.entries: list[GridEntry] = []
         for t in ratio_grid(n, epsilon):
@@ -159,9 +148,6 @@ class DirectedDensest:
 
     # ------------------------------------------------------------------
 
-    def directed_edges(self) -> dict[tuple[int, int], int]:
-        return dict(self._mirror)
-
     def _check_edge(self, u: int, v: int) -> None:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex out of range: ({u}, {v})")
@@ -173,11 +159,10 @@ class DirectedDensest:
 
         All or nothing: every check runs before any structure changes.  Each
         low engine holds ``dup`` copies per edge and each high engine one, so
-        the first low engine speaks for the capacity of all of them.
+        the first call, the first low engine's insert, checks the capacity of
+        all of them before it changes anything.
         """
         self._check_edge(u, v)
-        if self.entries[0].low.total_copies + self.dup > self.params.capacity:
-            raise ValueError("edge capacity exceeded")
         left, right, dup = u, self.n + v, self.dup
         for entry in self.entries:
             entry.low.insert(left, right, dup)

@@ -1,6 +1,7 @@
 """Exact references that only the tests compare against.
 
-``audit`` cross-checks every redundant structure of an orientation engine.
+``audit`` cross-checks every redundant structure of an orientation engine,
+and ``saturated`` reads an engine's saturation test.
 The rest confirms the directed reduction in exact rational arithmetic: the
 doubled graph's optimum at a guess ``t`` (parameterized by the rational
 ``t**2``), the exact grid of guesses, and the square of the directed optimum.
@@ -16,7 +17,6 @@ import numpy as np
 from densedyn.levels import BOUNDARY_TOL
 from densedyn.oracle import (
     _NEAR_TIE,
-    DIRECTED_CAP,
     UNDIRECTED_CAP,
     SmallGraph,
     _edge_counts,
@@ -70,22 +70,27 @@ def audit(engine) -> None:
                     assert getattr(a, end) == v and a.label_level == band
 
 
-def exact_ddsg_density_squared(g: SmallGraph, cap: int = DIRECTED_CAP) -> Fraction:
+def saturated(engine) -> bool:
+    """True when the load cap may be hiding a denser optimum: the test
+    ``GridEntry.active`` and ``extract`` write out inline.  Always False for
+    an unthresholded engine, whose trigger is infinite."""
+    return engine.max_load() >= engine.saturation_trigger()
+
+
+def exact_ddsg_density_squared(g: SmallGraph) -> Fraction:
     """Exact square of the optimum directed density, from the witness."""
-    _, s, t = exact_ddsg(g, cap)
+    _, s, t = exact_ddsg(g)
     e = sum(m for (u, v), m in g.edges.items() if u in s and v in t)
     return Fraction(e * e, len(s) * len(t)) if e else Fraction(0)
 
 
-def exact_reduced_density_squared(
-    g: SmallGraph, t_squared: Fraction, cap: int = UNDIRECTED_CAP
-) -> Fraction:
+def exact_reduced_density_squared(g: SmallGraph, t_squared: Fraction) -> Fraction:
     """Exact square of the doubled-graph optimum, parameterized by ``t**2``.
 
     Keeping ``t**2`` rational (grid guesses have rational squares) makes the
     reduction checks exact even though ``t`` itself is irrational.
     """
-    e, a_left, a_right = _best_reduced(g, t_squared, cap)
+    e, a_left, a_right = _best_reduced(g, t_squared)
     if e == 0:
         return Fraction(0)
     # density = e / ((a_left / t + a_right * t) / 2)
@@ -94,9 +99,7 @@ def exact_reduced_density_squared(
     return Fraction(4 * e * e * p * q, (a_left * q + a_right * p) ** 2)
 
 
-def _best_reduced(
-    g: SmallGraph, t_squared: Fraction, cap: int
-) -> tuple[int, int, int]:
+def _best_reduced(g: SmallGraph, t_squared: Fraction) -> tuple[int, int, int]:
     """Maximizer profile (edges, left-size, right-size) of the doubled graph.
 
     Density order for fixed ``t``:  E1/w(S1) >= E2/w(S2)  iff
@@ -105,8 +108,8 @@ def _best_reduced(
     """
     if not g.directed:
         raise ValueError("reduction expects a directed graph")
-    if 2 * g.n > cap:
-        raise ValueError(f"doubled vertex count {2 * g.n} exceeds cap {cap}")
+    if 2 * g.n > UNDIRECTED_CAP:
+        raise ValueError(f"doubled vertex count {2 * g.n} exceeds cap {UNDIRECTED_CAP}")
     if not g.edges:
         return (0, 1, 0)
     p, q = t_squared.numerator, t_squared.denominator

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from densedyn import engine as engine_module
 from densedyn import oracle
 from densedyn.engine import (
     ALPHA_C,
@@ -26,11 +27,12 @@ from densedyn.engine import (
 )
 from densedyn.extract import extract
 from densedyn.levels import build_level_params
-from densedyn.reducer import DirectedDensest, GridParams
+from densedyn.reducer import DirectedDensest
 from reference import (
     exact_ddsg_density_squared,
     exact_reduced_density_squared,
     reduction_grid_squared,
+    saturated,
 )
 
 SEED = 20260810
@@ -358,11 +360,13 @@ def test_c6_recursion_cap():
 
 
 @criterion(7, "cap saturation detected exactly and bridged by the uncapped regime")
-def test_c7_threshold_regime_switch():
+def test_c7_threshold_regime_switch(monkeypatch):
     eps = 0.2
     n = 64
-    params = GridParams(dup_c=1.0, threshold_c=1.0 / 32.0)
-    grid = DirectedDensest(n, eps, params)
+    # small duplication and cap, so the planted clique crosses the cap
+    monkeypatch.setattr(engine_module, "DUP_C", 1.0)
+    monkeypatch.setattr(engine_module, "THRESHOLD_C", 1.0 / 32.0)
+    grid = DirectedDensest(n, eps)
 
     def clique_step(k: int, insert: bool):
         # vertex k-1 joins or leaves the bidirected clique {0..k-1}
@@ -381,12 +385,12 @@ def test_c7_threshold_regime_switch():
             w_sum = entry.low.weight(0) + entry.low.weight(n)
             opt_engine = grid.dup * (k - 1) / w_sum
             if opt_engine < entry.low.saturation_trigger():
-                assert not entry.low.saturated(), (
+                assert not saturated(entry.low), (
                     f"k={k} t={entry.t:.3f}: saturated below the certified bound"
                 )
                 res = extract(entry.low, eps)
                 assert res.certified_density * entry.scale <= opt + 1e-9
-            any_saturated |= entry.low.saturated()
+            any_saturated |= saturated(entry.low)
         q = grid.query()
         assert q.density_estimate <= opt + 1e-9, "estimate exceeded planted optimum"
         assert q.density_estimate >= (1 - eps) * opt - 1e-9
@@ -397,15 +401,15 @@ def test_c7_threshold_regime_switch():
     worst = 1.0
     for k in range(2, k_max + 1):
         clique_step(k, insert=True)
-        saturated, ratio = check_state(k)
-        saw_saturation |= saturated
+        crossed, ratio = check_state(k)
+        saw_saturation |= crossed
         worst = min(worst, ratio)
     assert saw_saturation, "cap never crossed while growing the clique"
     for k in range(k_max, 4, -1):
         clique_step(k, insert=False)
-        saturated, ratio = check_state(k - 1)
+        _, ratio = check_state(k - 1)
         worst = min(worst, ratio)
-    assert not any(e.low.saturated() for e in grid.entries), "cap did not recover"
+    assert not any(saturated(e.low) for e in grid.entries), "cap did not recover"
     for entry in grid.entries[::8]:
         _register(entry.low, f"c7 low t={entry.t:.3f}")
         _register(entry.high, f"c7 high t={entry.t:.3f}")

@@ -92,6 +92,17 @@ def test_run_eps_too_small_for_the_ratio_grid_exits_one(tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_run_eps_where_no_edge_fits_exits_one(tmp_path):
+    # the ratio grid's step is still above 1 here, and the grid would hold
+    # millions of guesses; the structure is refused before it is built
+    path = _write(tmp_path, "h 3 ddsg 2e-13\n?\n")
+    result = CliRunner().invoke(cli.main, ["run", "--stream", path])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: eps 2e-13 is too small: each edge takes" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_determinism_bytes(tmp_path):
     path = _write(
         tmp_path, stream.random_stream_text(5, "ddsg", 0.3, 30, seed=7, query_every=10)

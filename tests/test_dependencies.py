@@ -38,3 +38,45 @@ def test_oracle_imports_nothing_from_the_package():
             if any(a.name.split(".")[0] == "densedyn" for a in node.names):
                 found.append(ast.unparse(node))
     assert found == []
+
+
+def _program_reads() -> tuple[set[str], set[str]]:
+    """The attribute names and the bare names the program reads, in the
+    package and in the benchmark's scripts (not its tests).  Function
+    signatures do not count: a default that no caller overrides sets
+    nothing."""
+    paths = sorted(Path(densedyn.__file__).resolve().parent.glob("*.py"))
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    paths += sorted(p for p in bench.glob("*.py") if not p.name.startswith("test_"))
+    attrs, names = set(), set()
+    for path in paths:
+        todo = [ast.parse(path.read_text())]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                todo += node.body + node.decorator_list
+                continue
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            todo += ast.iter_child_nodes(node)
+    return attrs, names
+
+
+def test_public_surface_is_read_by_the_program():
+    # a public method or export that only tests use belongs in the tests.
+    # Methods are matched by attribute name, whatever object they are read
+    # from, and exports by bare name.
+    from densedyn.engine import OrientationEngine
+    from densedyn.reducer import DirectedDensest, GridEntry
+
+    attrs, names = _program_reads()
+    unread = set(densedyn.__all__) - names
+    for cls in (OrientationEngine, DirectedDensest, GridEntry):
+        unread |= {
+            name for name, member in vars(cls).items()
+            if not name.startswith("_") and (callable(member) or isinstance(member, property))
+            and name not in attrs
+        }
+    assert sorted(unread) == []

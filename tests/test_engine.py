@@ -1,16 +1,17 @@
 import math
 import random
 from bisect import bisect_left
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densedyn import engine as engine_module
 from densedyn import oracle
 from densedyn.engine import ALPHA_C, INF, LOOP_C, EngineConfig, OrientationEngine
 from densedyn.levels import BOUNDARY_TOL, build_level_params
-from reference import audit
+from reference import audit, saturated
 
 
 def make(n, eps=0.5, weights=None, alpha=None, loop_c=LOOP_C, **kw):
@@ -79,6 +80,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be finite"):
             make(2, weights=[1e308, 1.0])
 
+    def test_rejects_duplication_over_capacity(self, monkeypatch):
+        # no edge fits, so the config is refused
+        monkeypatch.setattr(engine_module, "CAPACITY", 40)
+        with pytest.raises(ValueError, match="41 copies, more than the capacity 40"):
+            make(2, duplication=41)
+        make(2, duplication=40)
+
     def test_rejects_threshold_below_floor(self):
         # minimum useful cap is log2(nW) / eps^2
         with pytest.raises(ValueError):
@@ -136,8 +144,9 @@ class TestInsert:
         with pytest.raises(ValueError):
             e.insert(0, 3)
 
-    def test_rejects_capacity_overflow(self):
-        e = make(2, capacity=5)
+    def test_rejects_capacity_overflow(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "CAPACITY", 5)
+        e = make(2)
         e.insert(0, 1, multiplicity=5)
         with pytest.raises(ValueError):
             e.insert(0, 1)
@@ -161,7 +170,7 @@ class TestDelete:
         e.insert(0, 1, multiplicity=8)
         rec = arc_pair_record(e, 0, 1)
         assert rec["count_uv"] == 6 and rec["count_vu"] == 2
-        assert e.load(0) == 2.0 and e.load(1) == 1.5
+        assert e._ind[0] / e._w[0] == 2.0 and e._ind[1] / e._w[1] == 1.5
         before = e.indeg(0)
         e.delete(0, 1)
         assert e.indeg(0) == before - 1 or e.indeg(0) == before  # rebalance may refill
@@ -240,7 +249,7 @@ class TestRebalancing:
         for j in range(1, 7):
             e.insert(0, j, multiplicity=2)
         e.insert(0, 7, multiplicity=160)
-        assert e.level(0) == 2
+        assert e._lvl[0] == 2
         for j in range(1, 7):
             force_label(e, j, 0, e._band(1, 40))  # the band of load 40 at weight 1
         stale_before = sum(
@@ -303,31 +312,31 @@ class TestSaturation:
     def test_unthresholded_never_saturates(self):
         e = make(2)
         e.insert(0, 1, multiplicity=50)
-        assert not e.saturated()
+        assert not saturated(e)
 
     def test_empty_thresholded_not_saturated(self):
         e = make(8, eps=0.5, threshold=50.0)
-        assert not e.saturated()
+        assert not saturated(e)
 
     def test_dense_bundle_saturates(self):
         e = make(8, eps=0.5, threshold=50.0)
         e.insert(0, 1, multiplicity=100)  # loads ~25 >= trigger 19
         assert e.max_load() >= e.saturation_trigger()
-        assert e.saturated()
+        assert saturated(e)
 
     def test_sparse_forest_not_saturated(self):
         t = 100.0 * math.log2(8) / 0.25
         e = make(8, eps=0.5, threshold=t)
         for v in range(1, 8):
             e.insert(v - 1, v)
-        assert not e.saturated()
+        assert not saturated(e)
 
     def test_loads_pin_at_threshold(self):
         e = make(8, eps=0.5, threshold=12.0)
         e.insert(0, 1, multiplicity=60)
         assert e.max_load() <= 12.0
         assert e.thresholded_load(0) <= 12.0
-        assert e.load(0) + e.load(1) == 60.0
+        assert e._ind[0] / e._w[0] + e._ind[1] / e._w[1] == 60.0
 
 
 class TestVerify:
@@ -338,7 +347,7 @@ class TestVerify:
         e = make(2)
         e.insert(0, 1)
         # label five bands above everything
-        force_label(e, 1, 0, e.level(0) + 5)
+        force_label(e, 1, 0, e._lvl[0] + 5)
         report = e.verify_local_optimality()
         kinds = {r["kind"] for r in report}
         assert "label above head-band" in kinds
@@ -448,7 +457,7 @@ def test_cached_bands_match_float_rule():
             # flips touch a vertex repeatedly within one update and may move
             # it several bands at once; after each public op its cached band
             # is the float rule's, or the cap's
-            assert e.level(w) == float_band(e, w) or (
+            assert e._lvl[w] == float_band(e, w) or (
                 e.threshold != INF and e.indeg(w) >= e._kcap[w]
             )
     audit(e)
@@ -464,9 +473,12 @@ BATCH_CONFIGS = {
 }
 
 
+BATCH_CAPACITY = 600
+
+
 def _batch_engine(kind):
     weights = [1.0, 2.0, 1.5, 1.0, 1.25, 2.0]
-    return make(6, eps=0.4, weights=weights, capacity=600, **BATCH_CONFIGS[kind])
+    return make(6, eps=0.4, weights=weights, **BATCH_CONFIGS[kind])
 
 
 def _assert_rejected(e, call, *args):
@@ -476,7 +488,11 @@ def _assert_rejected(e, call, *args):
     assert (e.snapshot(), dict(e.stats), e.total_copies) == before
 
 
+# the capacity is read when the engine is built and at every insert
+@mock.patch.object(engine_module, "CAPACITY", BATCH_CAPACITY)
 @settings(max_examples=60, deadline=None)
+# random batches rarely add up to the capacity; thirteen of 50 pass it
+@example("thresholded", [("+", 0, 1, 50)] * 13)
 @given(
     st.sampled_from(sorted(BATCH_CONFIGS)),
     st.lists(
@@ -498,7 +514,7 @@ def test_batched_updates_keep_invariants(kind, ops):
             _assert_rejected(e, e.insert if sign == "+" else e.delete, u, v, k)
             continue
         if sign == "+":
-            if e.total_copies + k > e.config.capacity:
+            if e.total_copies + k > BATCH_CAPACITY:
                 _assert_rejected(e, e.insert, u, v, k)
                 continue
             e.insert(u, v, k)
@@ -545,7 +561,7 @@ def test_incoming_labels_stay_near_their_band_under_churn():
             e.insert(u, v)
             live[(u, v)] += 1
         for x in range(4):
-            assert all(abs(b - e.level(x)) <= 4 for b in e._in[x])
+            assert all(abs(b - e._lvl[x]) <= 4 for b in e._in[x])
         audit(e)
     assert e.verify_local_optimality() == []
 
@@ -605,7 +621,7 @@ def test_debug_audit_catches_wrong_threshold():
     assert e._thr[2] is thr and thr[1] == 1  # weight 1 shares one list
     thr[1] = 0  # in-degree 1 now reads as above band 1
     e.insert(0, 2)  # the copy goes to vertex 2, the lighter endpoint
-    assert e.indeg(2) == 1 and e.level(2) == 2
+    assert e.indeg(2) == 1 and e._lvl[2] == 2
     with pytest.raises(AssertionError, match="cached level drift at 2"):
         audit(e)
 
@@ -618,7 +634,7 @@ def test_relabel_to_same_band_keeps_place():
         e.insert(u, v, 2)
     for j in (1, 2, 3):
         e.insert(0, j)
-    band = e.level(0)
+    band = e._lvl[0]
     bucket = e._in[0][band]
     assert [a.tail for a in bucket] == [1, 2, 3]
 

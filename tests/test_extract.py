@@ -17,6 +17,7 @@ from densedyn.engine import (
     log_scale,
 )
 from densedyn.extract import GAP_BANDS, ExtractionResult, extract
+from reference import saturated
 
 
 def make(n, eps=0.2, weights=None, **kw):
@@ -55,7 +56,7 @@ def full_scan(engine: OrientationEngine, epsilon: float) -> tuple[ExtractionResu
     """
     dup = engine.config.duplication
     upper = engine.max_load() / dup
-    valid = not engine.saturated()
+    valid = not saturated(engine)
     if engine.total_copies == 0:
         return ExtractionResult(frozenset(), 0.0, upper, 0, valid), 0
 
@@ -145,9 +146,6 @@ class Banded:
     def saturation_trigger(self):
         return INF
 
-    def saturated(self):
-        return False
-
     def layer_levels_desc(self):
         return sorted(self._layers, reverse=True)
 
@@ -206,7 +204,7 @@ class TestExtract:
     def test_invalid_when_saturated(self):
         e = make(8, eps=0.5, threshold=50.0)
         e.insert(0, 1, multiplicity=100)
-        assert e.saturated()
+        assert saturated(e)
         res = extract(e, 0.5)
         assert not res.valid
 
@@ -372,7 +370,7 @@ class TestEarlyExit:
             u, v = rng.sample(range(6), 2)
             e.insert(u, v, 3)
             assert extract(e, 0.5) == full_scan(e, 0.5)[0]
-        assert e.saturated()
+        assert saturated(e)
 
     @pytest.mark.parametrize(
         "seed, n, dup, hot, hot_p, delete_p, updates, every",

@@ -257,4 +257,4 @@ def test_table_grows_to_the_largest_band_read():
     assert full > 2_500_000
     for i in range(16):
         e.insert(i, i + 1, dup)
-    assert max(e.level(v) for v in range(n)) < len(e.params.boundaries) < 400_000
+    assert max(e._lvl) < len(e.params.boundaries) < 400_000

@@ -48,9 +48,10 @@ class TestExactVwdsg:
         assert density == 0.0
         assert len(witness) == 1
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "UNDIRECTED_CAP", 2)
         with pytest.raises(ValueError):
-            oracle.exact_vwdsg(_undirected(3, []), cap=2)
+            oracle.exact_vwdsg(_undirected(3, []))
 
     def test_witness_density_matches(self):
         rng = random.Random(7)

@@ -1,17 +1,20 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
+from densedyn import engine as engine_module
 from densedyn import oracle
+from densedyn import reducer as reducer_module
 from densedyn.engine import duplication_factor
 from densedyn.extract import extract
-from densedyn.reducer import DirectedDensest, DirectedQueryResult, GridParams, ratio_grid
-from reference import audit, reduction_grid_squared
+from densedyn.reducer import DirectedDensest, DirectedQueryResult, ratio_grid
+from reference import audit, reduction_grid_squared, saturated
 
 
 def best_t_sanity(sources, sinks) -> float:
@@ -26,10 +29,17 @@ def best_t_sanity(sources, sinks) -> float:
 EMPTY = DirectedQueryResult(0.0, frozenset(), frozenset(), 0.0, "low")
 
 
+def small_cap(monkeypatch):
+    """Small duplication and load cap, so that desk-scale graphs reach the
+    cap of the grids built after this call."""
+    monkeypatch.setattr(engine_module, "DUP_C", 1.0)
+    monkeypatch.setattr(engine_module, "THRESHOLD_C", 0.3)
+
+
 def reference_query(g: DirectedDensest) -> DirectedQueryResult:
     """Grid-order scan that extracts from every entry's active engine; the
     bound-ordered ``query`` must return exactly this."""
-    if not g.directed_edges():
+    if not g._mirror:
         return EMPTY
     n = g.n
     best = None
@@ -48,7 +58,7 @@ def reference_query(g: DirectedDensest) -> DirectedQueryResult:
     _, entry, regime, sources, sinks = best
     edges = sum(
         mult
-        for (u, v), mult in g.directed_edges().items()
+        for (u, v), mult in g._mirror.items()
         if u in sources and v in sinks
     )
     return DirectedQueryResult(
@@ -121,6 +131,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DirectedDensest(4, 0.0)
 
+    def test_rejects_eps_where_no_edge_fits_before_building_the_grid(self):
+        # at eps 2e-13 the grid has 2,303,960 guesses, and one duplicated
+        # edge is more copies than an engine holds; the grid is never built
+        with mock.patch.object(reducer_module, "ratio_grid",
+                               side_effect=AssertionError("grid built")):
+            with pytest.raises(ValueError, match="eps 2e-13 is too small"):
+                DirectedDensest(3, 2e-13)
+
 
 class TestUpdates:
     def test_insert_fans_out_one_logical_edge(self):
@@ -143,7 +161,7 @@ class TestUpdates:
         g = DirectedDensest(3, 0.5)
         g.insert_directed(0, 1)
         g.delete_directed(0, 1)
-        assert sum(g.directed_edges().values()) == 0
+        assert sum(g._mirror.values()) == 0
         for eng in g.engines():
             assert eng.total_copies == 0
             assert eng.max_load() == 0.0
@@ -156,16 +174,21 @@ class TestUpdates:
         with pytest.raises(ValueError):
             g.delete_directed(0, 1)
 
-    def test_rejected_insert_changes_nothing(self):
-        # every low engine takes dup = 50 copies per edge; a capacity of 40
-        # rejects the first edge, which must leave no phantom in the mirror
-        g = DirectedDensest(4, 0.4, GridParams(capacity=40))
+    def test_rejected_insert_changes_nothing(self, monkeypatch):
+        # every low engine takes dup = 50 copies per edge; a capacity of 50
+        # takes the first edge and rejects the second, which must leave no
+        # phantom in the mirror (a capacity below dup would reject the grid)
+        monkeypatch.setattr(engine_module, "CAPACITY", 50)
+        g = DirectedDensest(4, 0.4)
+        assert g.dup == 50
+        g.insert_directed(0, 1)
         with pytest.raises(ValueError, match="capacity"):
-            g.insert_directed(0, 1)
-        assert g.directed_edges() == {}
-        assert all(eng.total_copies == 0 for eng in g.engines())
+            g.insert_directed(0, 2)
+        assert g._mirror == {(0, 1): 1}
+        assert all(e.low.total_copies == 50 and e.high.total_copies == 1
+                   for e in g.entries)
         with pytest.raises(ValueError):
-            g.delete_directed(0, 1)
+            g.delete_directed(0, 2)
 
 
 class TestQuery:
@@ -198,7 +221,7 @@ class TestQuery:
         q = g.query()
         edges = sum(
             mult
-            for (u, v), mult in g.directed_edges().items()
+            for (u, v), mult in g._mirror.items()
             if u in q.sources and v in q.sinks
         )
         expect = edges / math.sqrt(len(q.sources) * len(q.sinks))
@@ -230,19 +253,19 @@ class TestQuery:
 
 class TestBoundOrder:
     @pytest.mark.parametrize("seed", range(6))
-    def test_matches_grid_scan(self, seed):
+    def test_matches_grid_scan(self, seed, monkeypatch):
         # odd seeds use a small cap and duplication on a hot 6-vertex core,
         # so low engines saturate and hand over to their high engines
         rng = random.Random(seed)
         if seed % 2:
             n, eps, hot = 8, 0.5, 6
-            params = GridParams(dup_c=1.0, threshold_c=0.3)
+            small_cap(monkeypatch)
         else:
             n, eps = rng.randint(3, 8), rng.choice([0.3, 0.5])
-            hot, params = n, GridParams()
-        g = DirectedDensest(n, eps, params)
+            hot = n
+        g = DirectedDensest(n, eps)
         live = []
-        saturated = False
+        any_saturated = False
         for _ in range(50):
             if live and rng.random() < 0.3:
                 g.delete_directed(*live.pop(rng.randrange(len(live))))
@@ -255,10 +278,10 @@ class TestBoundOrder:
                 # either regime
                 engine, regime, peak = entry.active()
                 assert peak == engine.max_load()
-                assert (regime == "high") == entry.low.saturated()
-            saturated |= any(entry.low.saturated() for entry in g.entries)
+                assert (regime == "high") == saturated(entry.low)
+            any_saturated |= any(saturated(entry.low) for entry in g.entries)
         if seed % 2:
-            assert saturated
+            assert any_saturated
 
     def test_tie_goes_to_the_earlier_guess(self):
         # the first and last guesses (t = 1/2 and 2, exact in floats) give the
@@ -280,22 +303,22 @@ class TestBoundOrder:
 
 
 class TestRegimeSwitch:
-    def test_saturation_hands_off_to_uncapped_instance(self):
+    def test_saturation_hands_off_to_uncapped_instance(self, monkeypatch):
         # small cap and duplication so a bidirected clique crosses the cap
-        params = GridParams(dup_c=1.0, threshold_c=0.3)
-        g = DirectedDensest(8, 0.5, params)
+        small_cap(monkeypatch)
+        g = DirectedDensest(8, 0.5)
         k = 6
         for u in range(k):
             for v in range(k):
                 if u != v:
                     g.insert_directed(u, v)
-        assert any(entry.low.saturated() for entry in g.entries)
+        assert any(saturated(entry.low) for entry in g.entries)
         q = g.query()
         opt = float(k - 1)
         assert q.density_estimate <= opt + 1e-9
         assert q.density_estimate >= 0.5 * opt
         assert q.regime == "high" or not any(
-            e.low.saturated() for e in g.entries if e.t == q.winning_t
+            saturated(e.low) for e in g.entries if e.t == q.winning_t
         )
 
 
@@ -336,15 +359,22 @@ class DirectedMachine(RuleBasedStateMachine):
     @initialize(n=st.integers(2, 8), eps=st.sampled_from([0.2, 0.5]),
                 max_edges=st.sampled_from([None, 1, 3]))
     def start(self, n, eps, max_edges):
-        params = GridParams()
+        cap = engine_module.CAPACITY
         if max_edges is not None:
-            params = GridParams(capacity=max_edges * duplication_factor(n, eps))
-        self.g = DirectedDensest(n, eps, params)
+            cap = max_edges * duplication_factor(n, eps)
+        # the capacity is read when the grid is built and at every insert, so
+        # it stays patched until teardown
+        self.capacity = mock.patch.object(engine_module, "CAPACITY", cap)
+        self.capacity.start()
+        self.g = DirectedDensest(n, eps)
         self.ref = oracle.SmallGraph(n=n, directed=True)
         self.max_edges = max_edges
 
+    def teardown(self):
+        self.capacity.stop()
+
     def state(self):
-        return self.g.directed_edges(), [(e.snapshot(), dict(e.stats)) for e in self.g.engines()]
+        return dict(self.g._mirror), [(e.snapshot(), dict(e.stats)) for e in self.g.engines()]
 
     def rejected(self, update, u, v):
         before = self.state()
@@ -386,7 +416,7 @@ class DirectedMachine(RuleBasedStateMachine):
 
     @invariant()
     def mirror_matches(self):
-        assert self.g.directed_edges() == dict(self.ref.edges)
+        assert self.g._mirror == dict(self.ref.edges)
 
     @invariant()
     def query_never_exceeds_optimum(self):
