@@ -39,6 +39,10 @@ distinct band among its out-neighbours.  The first arc of a bucket is the one
 filed earliest, so every scan picks the same arc in the same order as with a
 sorted map.
 
+Every in-degree change raises a watermark, ``touched_band``, to the higher
+of the vertex's bands before and after, so ``extract`` can tell whether any
+change since its last scan reached the bands that scan read.
+
 The analysis fixes five tuning constants, and this module is their only
 home: ``ALPHA_C`` (band width), ``LOOP_C`` (arc-scan budget), ``DUP_C`` (edge
 duplication), ``THRESHOLD_C`` (load cap of a low-density instance) and
@@ -218,6 +222,12 @@ class OrientationEngine:
         self._adj: list[dict[int, _Arc]] = [{} for _ in range(n)]  # head -> tail -> arc
         self._layers: dict[int, set[int]] = {0: set(range(n))}
         self._copies = 0
+        # extract's reuse state (see the extract module): the watermark, the
+        # highest band any vertex held, before or after, across the in-degree
+        # changes since extract last scanned, and (epsilon, floor band,
+        # answer) of that scan
+        self.touched_band = 0
+        self.last_extract = None
         self.stats = dict.fromkeys(
             ("arcs_inc", "arcs_dec", "flips", "copies_moved", "label_resets",
              "max_chain_inc", "max_chain_dec", "inserts", "deletes"),
@@ -476,27 +486,56 @@ class OrientationEngine:
         ``ind <= thr[i]`` in the threshold list of its weight, which is the
         float test ``ind <= L[i] * w + BOUNDARY_TOL * w`` exactly because
         ``ind`` is an integer.  A list that ends below ``ind`` first grows
-        from the level table, up to the top band's infinite threshold, so an
-        in-degree at or past ``_kcap`` falls in the top band."""
+        (:meth:`_grow`), so its last entry is the band."""
         thr = self._thr[v]
         i = bisect_left(thr, ind)
-        while i == len(thr):  # every entry is below ind
-            b, w = self.params.boundary(i), self._w[v]
-            top = b >= self.params.max_value - BOUNDARY_TOL
-            thr.append(INF if top else math.floor(b * w + BOUNDARY_TOL * w))
-            if thr[i] < ind:
-                i += 1
+        if i == len(thr):  # every entry is below ind
+            self._grow(thr, self._w[v], ind)
+            return len(thr) - 1
         return i
 
+    def _grow(self, thr: list, w: float, ind: int) -> None:
+        """Append to the threshold list ``thr`` of weight ``w`` until an
+        entry reaches ``ind``.  The top band's threshold is infinite, so an
+        in-degree at or past ``_kcap`` falls in the top band.  One call grows
+        every band a lookup needs: the level table's recurrence is repeated
+        here, with the float operations of :meth:`LevelParams.boundary`,
+        rather than called once per band."""
+        params = self.params
+        bounds = params.boundaries
+        grow = 1.0 + params.alpha
+        top = params.max_value - BOUNDARY_TOL
+        tol = BOUNDARY_TOL * w
+        floor = math.floor
+        i = len(thr)
+        while True:
+            if i < len(bounds):
+                b = bounds[i]
+            else:  # bounds[-1] is below the top, or thr would end in inf
+                b = grow * bounds[-1] + 1.0
+                bounds.append(b)
+            if b >= top:
+                thr.append(INF)
+                return
+            t = floor(b * w + tol)
+            thr.append(t)
+            if t >= ind:
+                return
+            i += 1
+
     def _shift(self, v: int, delta: int) -> None:
-        """Add ``delta`` copies to the in-degree of ``v`` and refile it in the
-        layer index under the band the level table gives."""
+        """Add ``delta`` copies to the in-degree of ``v``, refile it in the
+        layer index under the band the level table gives, and raise the
+        watermark to the higher of its two bands."""
         ind = self._ind[v] + delta
         self._ind[v] = ind
         old = self._lvl[v]
         new = self._band(v, ind)
         if new != old:
             self._move_layer(v, old, new)
+        high = new if delta > 0 else old  # bands rise with in-degree
+        if high > self.touched_band:
+            self.touched_band = high
 
     def _even_out(self, arc: _Arc) -> int:
         """Copies of tail->head to flip so that each one lowers the pair's

@@ -27,6 +27,18 @@ the prefix deepens.  Once it drops below the best density (less a ``1e-9``
 relative slack for float rounding), every later prefix loses the strict
 comparison, so the answer is exactly the full scan's.
 
+A scan leaves its answer, its ``epsilon`` and its floor on the engine: the
+floor is the band below the last one scanned when the usability test read
+it, and otherwise the last band scanned (the empty engine's floor is 0).
+What the scan read lies in the bands at or above the floor: their members,
+in-degrees and weights, the copies among them, the band keys down to the
+floor, and the peak load, which sits in the top band.  The number of copies
+is zero only while every vertex sits in band 0.  Each in-degree change
+raises the engine's watermark to the higher of its vertex's two bands, and a
+copy count changes only with its head's in-degree, so while the watermark
+stays below the floor none of that has changed: a call with the same
+``epsilon`` returns the stored answer without scanning.
+
 Densities are reported per logical edge: stored copy counts are divided back
 by the instance's duplication factor.
 """
@@ -61,13 +73,20 @@ class ExtractionResult:
 
 
 def extract(engine: OrientationEngine, epsilon: float) -> ExtractionResult:
-    """Best usable load-band prefix of the orientation."""
+    """Best usable load-band prefix of the orientation: the last call's
+    answer while no update has reached the bands its scan read."""
+    last = engine.last_extract
+    if last is not None and engine.touched_band < last[1] and last[0] == epsilon:
+        return last[2]
     dup = engine.config.duplication
     peak = engine.max_load()
     upper = peak / dup
     valid = peak < engine.saturation_trigger()
+    engine.touched_band = -1  # changes from here on count against this scan
     if engine.total_copies == 0:
-        return ExtractionResult(frozenset(), 0.0, upper, 0, valid)
+        result = ExtractionResult(frozenset(), 0.0, upper, 0, valid)
+        engine.last_extract = (epsilon, 0, result)
+        return result
 
     levels = engine.layer_levels_desc()
     grow_cap = (1.0 + epsilon) ** GAP_BANDS
@@ -97,10 +116,12 @@ def extract(engine: OrientationEngine, epsilon: float) -> ExtractionResult:
             break  # no prefix containing the scanned one can win
 
     density, size, cut = best
-    return ExtractionResult(
+    result = ExtractionResult(
         vertices=frozenset(islice(inside, size)),
         certified_density=density,
         estimate_upper=upper,
         prefix_level=max(cut - GAP_BANDS, 0),
         valid=valid,
     )
+    engine.last_extract = (epsilon, levels[min(j + 1, len(levels) - 1)], result)
+    return result

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from densedyn import engine as engine_module
 from densedyn import oracle
 from densedyn.engine import ALPHA_C, INF, LOOP_C, EngineConfig, OrientationEngine
+from densedyn.extract import extract
 from densedyn.levels import BOUNDARY_TOL, build_level_params
 from reference import audit, saturated
 
@@ -482,10 +483,16 @@ def _batch_engine(kind):
 
 
 def _assert_rejected(e, call, *args):
-    before = (e.snapshot(), dict(e.stats), e.total_copies)
+    # the watermark and the stored answer are extract's reuse state: a
+    # rejected update that moved either one could turn a later answer stale
+    def state():
+        return (e.snapshot(), dict(e.stats), e.total_copies, e.touched_band,
+                e.last_extract)
+
+    before = state()
     with pytest.raises(ValueError):
         call(*args)
-    assert (e.snapshot(), dict(e.stats), e.total_copies) == before
+    assert state() == before
 
 
 # the capacity is read when the engine is built and at every insert
@@ -531,6 +538,9 @@ def test_batched_updates_keep_invariants(kind, ops):
             assert e.pair_copies(a, b) == count
         audit(e)
         assert e.verify_local_optimality() == []
+        # store an answer and lower the watermark, so that a rejected update
+        # that raises it or replaces the answer shows
+        extract(e, e.config.epsilon)
 
 
 def test_batch_insert_scans_constant_arcs():

@@ -139,6 +139,9 @@ class Banded:
             self._layers[level] = set(band)
             level += gap
         self.total_copies = sum(self._ind)
+        # extract's reuse state: nothing changes once the stand-in is built
+        self.touched_band = 0
+        self.last_extract = None
 
     def max_load(self):
         return max(i / w for i, w in zip(self._ind, self._w))
@@ -408,3 +411,128 @@ class TestEarlyExit:
             deep += rank > 0
             low += ref.prefix_level < e.layer_levels_desc()[0] - GAP_BANDS
         assert deep > 0 and low > 0
+
+
+class TestReuse:
+    """``extract`` returns its stored answer, the same object, exactly while
+    no in-degree change since its scan reached a band at or above its floor."""
+
+    @staticmethod
+    def tiers():
+        # a 4-clique in the top bands, vertex 4 in band 11 and vertex 5 in
+        # band 8: the scan stops after band 11 with band 8 as its floor, and
+        # vertices 6 and 7 sit below it
+        e = make(8, eps=0.5)
+        for u, v in itertools.combinations(range(4), 2):
+            e.insert(u, v, 30)
+        for u in range(4):
+            e.insert(u, 4, 3)
+        for u in range(4):
+            e.insert(u, 5, 2)
+        res = extract(e, 0.5)
+        assert res.vertices == frozenset(range(4))
+        assert e.layer_levels_desc() == [33, 32, 11, 8, 0]
+        assert e.last_extract == (0.5, 8, res)
+        return e, res
+
+    def test_update_below_the_floor_reuses(self):
+        e, first = self.tiers()
+        e.insert(6, 7, 14)
+        assert e._lvl[6] == e._lvl[7] == 7
+        assert extract(e, 0.5) is first
+
+    def test_insert_inside_the_returned_set_invalidates(self):
+        e, first = self.tiers()
+        e.insert(0, 1)
+        res = extract(e, 0.5)
+        assert res is not first
+        assert res == full_scan(e, 0.5)[0]
+
+    def test_flip_from_below_the_floor_into_a_scanned_band_invalidates(self):
+        e, first = self.tiers()
+        e.insert(6, 7, 14)
+        assert extract(e, 0.5) is first
+        # rebalancing reorients copies through _move: 6 takes five of the
+        # seven copies 7 holds and rises from band 7 to vertex 4's band, 11,
+        # while 7 only drops
+        e._move(e._adj[7][6], 5)
+        assert (e._lvl[6], e._lvl[7]) == (11, 2)
+        res = extract(e, 0.5)
+        assert res is not first
+        assert res == full_scan(e, 0.5)[0]
+
+    def test_other_epsilon_never_reuses(self):
+        e, first = self.tiers()
+        other = extract(e, 0.25)
+        assert other is not first
+        assert other == full_scan(e, 0.25)[0]
+        again = extract(e, 0.5)
+        assert again is not first and again is not other
+        assert again == first
+
+    def test_empty_engine(self):
+        e = make(3)
+        first = extract(e, 0.2)
+        assert extract(e, 0.2) is first
+        e.insert(0, 1)
+        res = extract(e, 0.2)
+        assert res is not first
+        assert res == full_scan(e, 0.2)[0]
+
+    def test_query_after_every_update_matches_full_scan(self):
+        # a heavy 4-clique on 0..3 and two lighter vertices hanging off it,
+        # as in tiers(), then light updates drawn three times in four from
+        # the half of the vertices in the lowest bands, so many leave the
+        # bands the last scan read alone
+        reused = []
+
+        @settings(max_examples=80, deadline=None)
+        @given(
+            st.integers(8, 11),
+            st.sampled_from([0.25, 0.5]),
+            st.sampled_from([1, 3]),
+            # None: unthresholded; otherwise the cap as a multiple of its floor
+            st.sampled_from([None, 2.0]),
+            st.lists(st.sampled_from([1.0, 1.25, 2.0, 3.5]), min_size=11, max_size=11),
+            st.lists(
+                st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 10),
+                          st.integers(0, 10), st.integers(1, 2)),
+                max_size=30,
+            ),
+        )
+        def replay(n, eps, dup, cap, weights, ops):
+            w = weights[:n]
+            threshold = INF if cap is None else cap * log_scale(n * max(w)) / eps**2
+            e = make(n, eps=eps, weights=w, duplication=dup, threshold=threshold)
+            mirror: dict[tuple[int, int], int] = {}
+            for u, v in itertools.combinations(range(4), 2):
+                e.insert(u, v, 30 * dup)
+                mirror[(u, v)] = 30
+            for u in range(4):
+                e.insert(u, 4, 3 * dup)
+                e.insert(u, 5, 2 * dup)
+                mirror[(u, 4)], mirror[(u, 5)] = 3, 2
+            prev = extract(e, eps)
+            for insert, pick, u, v, k in ops:
+                pool = sorted(range(n), key=lambda x: (e._lvl[x], x))
+                if pick:
+                    pool = pool[: n // 2]
+                u, v = pool[u % len(pool)], pool[v % len(pool)]
+                if u == v:
+                    continue
+                key = (min(u, v), max(u, v))
+                if insert:
+                    e.insert(u, v, k * dup)
+                    mirror[key] = mirror.get(key, 0) + k
+                elif mirror.get(key, 0) >= k:
+                    e.delete(u, v, k * dup)
+                    mirror[key] -= k
+                else:
+                    continue
+                res = extract(e, eps)
+                assert res == full_scan(e, eps)[0]
+                reused.append(res is prev)
+                prev = res
+
+        replay()
+        assert any(reused)

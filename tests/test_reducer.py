@@ -374,7 +374,11 @@ class DirectedMachine(RuleBasedStateMachine):
         self.capacity.stop()
 
     def state(self):
-        return dict(self.g._mirror), [(e.snapshot(), dict(e.stats)) for e in self.g.engines()]
+        # with each engine's extract reuse state, which the query invariant sets
+        return dict(self.g._mirror), [
+            (e.snapshot(), dict(e.stats), e.touched_band, e.last_extract)
+            for e in self.g.engines()
+        ]
 
     def rejected(self, update, u, v):
         before = self.state()
