@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 input error, 2 verification failure.
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -17,6 +16,7 @@ import click
 from .stream import (
     StreamFormatError,
     StreamRunError,
+    jsonl,
     oracle_replay,
     parse_stream,
     random_stream_text,
@@ -137,8 +137,7 @@ def oracle_cmd(stream, out):
         records = oracle_replay(header, events)
     except (StreamFormatError, StreamRunError, ValueError) as exc:
         _fail_input(exc)
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    _emit(text, out)
+    _emit(jsonl(records), out)
 
 
 if __name__ == "__main__":

@@ -17,14 +17,9 @@ endpoints.  The work per update therefore does not grow with the number of
 copies.  A layer index (vertices bucketed by load band) supports peak-load
 queries and prefix extraction.
 
-The band of a vertex with in-degree ``ind`` and weight ``w`` is the smallest
-``i`` with ``ind <= L[i] * w + BOUNDARY_TOL * w`` for the level table's
-boundaries ``L``, and the top band, whose boundary is a capped engine's cap,
-takes every larger in-degree.  For an integer ``ind`` that test is
-``ind <= thr[i]``, ``thr[i] = floor(L[i] * w + BOUNDARY_TOL * w)`` with the same
-float operations (``inf`` at the top): one bisect over an integer list per
-distinct weight, grown on demand to the largest in-degree seen, which is as
-far as the level table is ever read.
+A vertex's band follows the rule in :mod:`densedyn.levels`: a bisect over
+the integer threshold list of its weight, which the level table grows on
+demand to the largest in-degree seen.
 
 The label index files each vertex's incoming and outgoing directions by
 label band, in plain dicts of insertion-ordered buckets; a direction is filed
@@ -62,8 +57,6 @@ from .levels import BOUNDARY_TOL, LevelParams, build_level_params
 INF = math.inf
 # Most edge copies one engine holds, and the top of an uncapped level table.
 CAPACITY = 2**32
-# Weight of the log term in a thresholded instance's saturation trigger.
-SATURATION_C = 1.0
 # Scales the band width alpha, which is ALPHA_C * eps^2 / log2(n * W).
 ALPHA_C = 0.25
 # Scales the arc-scan budget per rebalanced vertex, ceil(LOOP_C / alpha).
@@ -85,7 +78,11 @@ def log_scale(x: float) -> float:
 def duplication_factor(scale: float, eps: float) -> int:
     """How many copies of each edge inflate the optimum enough that the
     additive error of the orientation becomes a relative eps-factor."""
-    return max(1, math.ceil(DUP_C * log_scale(scale) / (eps * eps)))
+    try:
+        return max(1, math.ceil(DUP_C * log_scale(scale) / (eps * eps)))
+    except (ZeroDivisionError, OverflowError):  # eps * eps is 0, or the count inf
+        raise ValueError(f"eps {eps} is too small: each edge takes more copies "
+                         f"than the capacity {CAPACITY}") from None
 
 
 def threshold_value(scale: float, eps: float) -> float:
@@ -204,15 +201,15 @@ class OrientationEngine:
 
         self._w = w
         # in-degree thresholds of the bands, one list per distinct weight,
-        # grown by _band from the level table
+        # grown by the level table when _band reads past their end
         tables: dict[float, list[int]] = {}
         self._thr = [tables.setdefault(x, []) for x in w]
         self._ind = [0] * n
         self._lvl = [0] * n
+        # in-degree at which the thresholded load pins to the cap
         if self.threshold == INF:
-            self._kcap = [None] * n
+            self._kcap = [INF] * n
         else:
-            # in-degree at which the thresholded load pins to the cap
             self._kcap = [math.ceil(self.threshold * x) for x in w]
         # bucket values are insertion-ordered dicts keyed by arc record, so
         # replay order (hence every report) is deterministic; extreme keys are
@@ -394,7 +391,7 @@ class OrientationEngine:
         load cap may be hiding a denser optimum.  Infinite for an
         unthresholded instance."""
         cfg = self.config
-        return (1.0 - cfg.epsilon) * self.threshold - SATURATION_C * log_scale(
+        return (1.0 - cfg.epsilon) * self.threshold - log_scale(
             cfg.n * self.max_weight
         ) / cfg.epsilon
 
@@ -476,52 +473,21 @@ class OrientationEngine:
 
     def _tload(self, v: int, ind: int) -> float:
         """Thresholded load of ``v`` were its in-degree ``ind``."""
-        kcap = self._kcap[v]
-        if kcap is not None and ind >= kcap:
+        if ind >= self._kcap[v]:
             return self.threshold
         return ind / self._w[v]
 
     def _band(self, v: int, ind: int) -> int:
         """Band of ``v`` were its in-degree ``ind``: the smallest ``i`` with
-        ``ind <= thr[i]`` in the threshold list of its weight, which is the
-        float test ``ind <= L[i] * w + BOUNDARY_TOL * w`` exactly because
-        ``ind`` is an integer.  A list that ends below ``ind`` first grows
-        (:meth:`_grow`), so its last entry is the band."""
+        ``ind <= thr[i]`` in the threshold list of its weight.  A list that
+        ends below ``ind`` first grows (:meth:`LevelParams.extend`), so its
+        last entry is the band."""
         thr = self._thr[v]
         i = bisect_left(thr, ind)
         if i == len(thr):  # every entry is below ind
-            self._grow(thr, self._w[v], ind)
+            self.params.extend(thr, self._w[v], ind)
             return len(thr) - 1
         return i
-
-    def _grow(self, thr: list, w: float, ind: int) -> None:
-        """Append to the threshold list ``thr`` of weight ``w`` until an
-        entry reaches ``ind``.  The top band's threshold is infinite, so an
-        in-degree at or past ``_kcap`` falls in the top band.  One call grows
-        every band a lookup needs: the level table's recurrence is repeated
-        here, with the float operations of :meth:`LevelParams.boundary`,
-        rather than called once per band."""
-        params = self.params
-        bounds = params.boundaries
-        grow = 1.0 + params.alpha
-        top = params.max_value - BOUNDARY_TOL
-        tol = BOUNDARY_TOL * w
-        floor = math.floor
-        i = len(thr)
-        while True:
-            if i < len(bounds):
-                b = bounds[i]
-            else:  # bounds[-1] is below the top, or thr would end in inf
-                b = grow * bounds[-1] + 1.0
-                bounds.append(b)
-            if b >= top:
-                thr.append(INF)
-                return
-            t = floor(b * w + tol)
-            thr.append(t)
-            if t >= ind:
-                return
-            i += 1
 
     def _shift(self, v: int, delta: int) -> None:
         """Add ``delta`` copies to the in-degree of ``v``, refile it in the

@@ -2,13 +2,23 @@
 
 Loads are bucketed into bands ``(L[i-1], L[i]]`` where ``L[0] = 0`` and
 ``L[i] = (1 + alpha) * L[i-1] + 1``, so consecutive boundaries are at least 1
-apart.  A band is decided by comparing against the stored boundaries, each
-with the same absolute slack, so that every comparison in the system agrees
-about boundary cases.  A boundary is computed when it is first read, and the
-table ends at the top band, the first whose boundary reaches ``max_value``.
+apart.  A boundary is computed when it is first read, and the table ends at
+the top band, the first whose boundary reaches ``max_value``.
+
+The band of an in-degree ``ind`` at vertex weight ``w`` (a load of
+``ind / w``) is the smallest ``i`` with ``ind <= L[i] * w + BOUNDARY_TOL * w``,
+and the top band, whose boundary is a capped engine's cap, takes every larger
+in-degree.  Each boundary carries the same absolute slack, so every
+comparison in the system agrees about boundary cases.  For an integer ``ind``
+the test is ``ind <= thr[i]`` with ``thr[i] = floor(L[i] * w + BOUNDARY_TOL *
+w)`` in the same float operations, and ``thr[top] = inf``: one integer list
+per distinct weight, which :meth:`LevelParams.extend` grows as far as it is
+read.
 """
 
 from __future__ import annotations
+
+import math
 
 # Absolute slack used when comparing a load against a stored boundary.
 BOUNDARY_TOL = 1e-9
@@ -22,20 +32,39 @@ class LevelParams:
         self.max_value = max_value
         self.boundaries = [0.0]
 
-    def boundary(self, i: int) -> float:
-        """``L[i]``, stored on first read; IndexError past the top band."""
-        b = self.boundaries
-        while len(b) <= i and b[-1] < self.max_value - BOUNDARY_TOL:
-            b.append((1.0 + self.alpha) * b[-1] + 1.0)
-        return b[i]
+    def extend(self, thr: list, w: float, ind: float) -> None:
+        """Append to the threshold list ``thr`` of weight ``w`` until an
+        entry reaches ``ind``, or up to the top band's ``inf``, storing every
+        boundary it reads for the first time.  The recurrence runs inline
+        here, in one loop for all the bands a lookup needs."""
+        bounds = self.boundaries
+        grow = 1.0 + self.alpha
+        top = self.max_value - BOUNDARY_TOL
+        tol = BOUNDARY_TOL * w
+        floor = math.floor
+        i = len(thr)
+        while True:
+            if i < len(bounds):
+                b = bounds[i]
+            else:  # bounds[-1] is below the top, or thr would end in inf
+                b = grow * bounds[-1] + 1.0
+                bounds.append(b)
+            if b >= top:
+                thr.append(math.inf)
+                return
+            t = floor(b * w + tol)
+            thr.append(t)
+            if t >= ind:
+                return
+            i += 1
 
     @property
     def top_level(self) -> int:
         """Largest band index, the number of nonzero levels; reading it grows
         the table to the top."""
         b = self.boundaries
-        while b[-1] < self.max_value - BOUNDARY_TOL:
-            self.boundary(len(b))
+        if b[-1] < self.max_value - BOUNDARY_TOL:  # the top is not stored yet
+            self.extend([], 1.0, math.inf)
         return len(b) - 1
 
 

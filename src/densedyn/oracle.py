@@ -102,35 +102,32 @@ def exact_vwdsg(g: SmallGraph) -> tuple[float, set[int]]:
     if g.n == 0:
         return 0.0, set()
 
-    # Scale weights to a common denominator so all comparisons are integral.
+    # float pass for the bulk, exact pass over near-ties; the common
+    # denominator of the weights can pass 2**63, so the exact weights stay
+    # Python ints
     den = math.lcm(*(w.denominator for w in g.weights))
-    w_int = np.array([int(w * den) for w in g.weights], dtype=np.int64)
+    w_int = [int(w * den) for w in g.weights]
 
     bits = _subset_bits(g.n)
-    wsum = w_int @ bits
+    wsum = np.array([float(w) for w in g.weights]) @ bits
     esum = np.zeros(1 << g.n, dtype=np.int64)
     for (u, v), mult in g.edges.items():
         esum += mult * (bits[u] & bits[v])
 
-    # float pass for the bulk, exact integer pass over near-ties
     with np.errstate(divide="ignore", invalid="ignore"):
-        dens = np.where(wsum > 0, esum / np.maximum(wsum, 1), 0.0)
+        dens = np.where(wsum > 0, esum / wsum, 0.0)
     best = dens.max()
     cand = np.nonzero(dens >= best - _NEAR_TIE * (abs(best) + 1))[0]
 
     best_e, best_w, best_vs = -1, 1, ()
-    for m in cand:
-        m = int(m)
+    for m in cand.tolist():
         if m == 0:
             continue
-        e, w = int(esum[m]), int(wsum[m])
+        vs = _mask_vertices(m)
+        e, w = int(esum[m]), sum(w_int[v] for v in vs)
         cmp = e * best_w - best_e * w
-        if cmp > 0:
-            best_e, best_w, best_vs = e, w, _mask_vertices(m)
-        elif cmp == 0:
-            vs = _mask_vertices(m)
-            if vs < best_vs:
-                best_vs = vs
+        if cmp > 0 or (cmp == 0 and vs < best_vs):
+            best_e, best_w, best_vs = e, w, vs
     density = Fraction(best_e * den, best_w) if best_w else Fraction(0)
     return float(density), set(best_vs)
 

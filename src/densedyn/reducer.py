@@ -120,13 +120,14 @@ class DirectedDensest:
         self.n = n
         self.epsilon = epsilon
         self.dup = duplication_factor(n, epsilon)
+        # checked before the cap and the grid are built: at an eps where no
+        # edge fits, eps**4 can underflow to 0 and the grid can hold millions
+        # of guesses.  The top guess weighs its right side n, the largest
+        # weight of any guess.
+        EngineConfig(n=2 * n, epsilon=epsilon, duplication=self.dup).validate(n)
         self.cap = threshold_value(n, epsilon)
         low_config = EngineConfig(n=2 * n, epsilon=epsilon, threshold=self.cap,
                                   duplication=self.dup)
-        # checked before the grid is built: at an eps where no edge fits, the
-        # grid can hold millions of guesses.  The top guess weighs its right
-        # side n, the largest weight of any guess.
-        low_config.validate(n)
         high_config = replace(low_config, threshold=INF, duplication=1)
         self.entries: list[GridEntry] = []
         for t in ratio_grid(n, epsilon):

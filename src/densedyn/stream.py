@@ -149,6 +149,11 @@ def parse_stream(text: str) -> tuple[StreamHeader, list[UpdateEvent]]:
     return StreamHeader(n=n, mode=mode, epsilon=eps, weights=weights), events
 
 
+def jsonl(records) -> str:
+    """One JSON object per line, keys sorted: the form of every report."""
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+
+
 @dataclass
 class RunReport:
     mode: str
@@ -159,7 +164,6 @@ class RunReport:
     config: dict
 
     def to_jsonl(self, include_timings: bool = False) -> str:
-        lines = [json.dumps(q, sort_keys=True) for q in self.queries]
         summary = {
             "type": "summary",
             "mode": self.mode,
@@ -170,8 +174,7 @@ class RunReport:
         }
         if include_timings:
             summary["timings"] = self.timings
-        lines.append(json.dumps(summary, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        return jsonl([*self.queries, summary])
 
 
 def _replay(events: list[UpdateEvent], insert, delete, query) -> None:
@@ -317,7 +320,6 @@ class VerifyReport:
     counters: dict[str, int]
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(q, sort_keys=True) for q in self.queries]
         summary = {
             "type": "verify-summary",
             "ok": self.ok,
@@ -326,8 +328,7 @@ class VerifyReport:
             "violations": self.violations,
             "counters": self.counters,
         }
-        lines.append(json.dumps(summary, sort_keys=True))
-        return "\n".join(lines) + "\n"
+        return jsonl([*self.queries, summary])
 
 
 def verify(header: StreamHeader, events: list[UpdateEvent], eps: float | None = None) -> VerifyReport:

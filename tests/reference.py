@@ -1,7 +1,8 @@
 """Exact references that only the tests compare against.
 
-``audit`` cross-checks every redundant structure of an orientation engine,
-and ``saturated`` reads an engine's saturation test.
+``float_band`` is the band rule of the levels module in floats, ``audit``
+cross-checks every redundant structure of an orientation engine against it
+and the adjacency map, and ``saturated`` reads an engine's saturation test.
 The rest confirms the directed reduction in exact rational arithmetic: the
 doubled graph's optimum at a guess ``t`` (parameterized by the rational
 ``t**2``), the exact grid of guesses, and the square of the directed optimum.
@@ -23,6 +24,16 @@ from densedyn.oracle import (
     exact_ddsg,
 )
 from densedyn.reducer import ratio_step_squared
+
+
+def float_band(params, w: float, ind: float) -> int:
+    """Band of in-degree ``ind`` at weight ``w``, compared in floats over the
+    whole level table: the smallest ``i`` with
+    ``ind <= L[i] * w + BOUNDARY_TOL * w``, and the top band for any larger
+    ``ind``."""
+    top = params.top_level  # reading it builds the whole table
+    tol = BOUNDARY_TOL * w
+    return bisect_left(params.boundaries, ind, hi=top, key=lambda b: b * w + tol)
 
 
 def audit(engine) -> None:
@@ -47,16 +58,8 @@ def audit(engine) -> None:
     assert copies == engine._copies, "copy counter drift"
     for v in range(n):
         assert ind[v] == engine._ind[v], f"indeg drift at {v}"
-        kcap = engine._kcap[v]
-        if kcap is not None and engine._ind[v] >= kcap:
-            expect = top
-        else:
-            # the float definition of the band, bypassing the thresholds
-            w = engine._w[v]
-            tol = BOUNDARY_TOL * w
-            expect = bisect_left(
-                engine.params.boundaries, engine._ind[v], key=lambda b: b * w + tol
-            )
+        # the float definition of the band, bypassing the thresholds
+        expect = float_band(engine.params, engine._w[v], engine._ind[v])
         assert engine._lvl[v] == expect, f"cached level drift at {v}"
         assert v in engine._layers[engine._lvl[v]], f"layer bucket drift at {v}"
     for level, members in engine._layers.items():

@@ -103,6 +103,20 @@ def test_run_eps_where_no_edge_fits_exits_one(tmp_path):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("mode", ["vwdsg", "ddsg"])
+@pytest.mark.parametrize("eps", ["1e-85", "1e-160", "1e-200"])
+def test_eps_whose_powers_leave_the_float_range_exits_one(tmp_path, mode, eps):
+    # eps**4, the duplication and eps**2 leave the float range in turn
+    path = _write(tmp_path, f"h 3 {mode} {eps}\n+ 0 1\n?\n")
+    for args in (["run", "--stream", path],
+                 ["bench", "--mode", mode, "--n", "3", "--events", "2", "--eps", eps]):
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: eps {float(eps)} is too small" in result.output
+        assert "Traceback" not in result.output
+
+
 def test_run_determinism_bytes(tmp_path):
     path = _write(
         tmp_path, stream.random_stream_text(5, "ddsg", 0.3, 30, seed=7, query_every=10)

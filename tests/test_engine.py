@@ -1,6 +1,5 @@
 import math
 import random
-from bisect import bisect_left
 from unittest import mock
 
 import pytest
@@ -11,8 +10,8 @@ from densedyn import engine as engine_module
 from densedyn import oracle
 from densedyn.engine import ALPHA_C, INF, LOOP_C, EngineConfig, OrientationEngine
 from densedyn.extract import extract
-from densedyn.levels import BOUNDARY_TOL, build_level_params
-from reference import audit, saturated
+from densedyn.levels import build_level_params
+from reference import audit, float_band, saturated
 
 
 def make(n, eps=0.5, weights=None, alpha=None, loop_c=LOOP_C, **kw):
@@ -431,17 +430,6 @@ def test_conservation_and_consistency(ops):
     audit(e)
 
 
-def float_band(e, v):
-    """Reference band of ``v``: the smallest ``i`` with
-    ``indeg <= L[i] * w + BOUNDARY_TOL * w``, compared in floats over the
-    whole table."""
-    top = e.params.top_level  # reading it builds the whole table
-    w = e.weight(v)
-    tol = BOUNDARY_TOL * w
-    return bisect_left(e.params.boundaries, e.indeg(v), hi=top + 1,
-                       key=lambda b: b * w + tol)
-
-
 def test_cached_bands_match_float_rule():
     e = make(5, eps=0.4)
     rng = random.Random(41)
@@ -457,10 +445,8 @@ def test_cached_bands_match_float_rule():
         for w in range(5):
             # flips touch a vertex repeatedly within one update and may move
             # it several bands at once; after each public op its cached band
-            # is the float rule's, or the cap's
-            assert e._lvl[w] == float_band(e, w) or (
-                e.threshold != INF and e.indeg(w) >= e._kcap[w]
-            )
+            # is the float rule's
+            assert e._lvl[w] == float_band(e.params, e.weight(w), e.indeg(w))
     audit(e)
 
 

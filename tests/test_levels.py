@@ -1,6 +1,5 @@
 import math
 import random
-from bisect import bisect_left
 from dataclasses import replace
 
 import pytest
@@ -15,6 +14,7 @@ from densedyn.engine import (
 )
 from densedyn.levels import BOUNDARY_TOL, build_level_params
 from densedyn.reducer import DirectedDensest, ratio_grid
+from reference import float_band
 
 
 def closed_form_level(alpha: float, x: float) -> int:
@@ -54,7 +54,10 @@ def test_build_examples():
     assert list(p.boundaries) == [0.0, 1.0]
 
     p = build_level_params(0.5, 4.0)
-    assert p.boundary(2) == 2.5
+    thr = []
+    p.extend(thr, 1.0, 2)  # reads the table up to the first threshold >= 2
+    assert thr == [0, 1, 2]
+    assert p.boundaries == [0.0, 1.0, 2.5]
     assert p.top_level == 3
     assert [round(b, 9) for b in p.boundaries] == [0.0, 1.0, 2.5, 4.75]
 
@@ -92,20 +95,25 @@ def test_band_examples():
 
 
 def test_top_level_matches_eager_recurrence():
-    # reads in any order, or none, leave the same table once top_level is read
+    # a read stores the boundaries up to the band it needs and no more, and
+    # reads in any order, or none, leave the same table once top_level is
+    # read; past the top, a threshold list ends in inf
     rng = random.Random(7)
     for _ in range(200):
         alpha = 10 ** rng.uniform(-3.0, 0.0)
         max_value = 10 ** rng.uniform(0.0, 6.0)
         eager = eager_boundaries(alpha, max_value)
         p = build_level_params(alpha, max_value)
-        k = rng.randrange(len(eager))
-        assert p.boundary(k) == eager[k]
-        assert len(p.boundaries) == k + 1
+        k = rng.randrange(len(eager) - 1)  # below the top, whose threshold is inf
+        thr = []
+        p.extend(thr, 1.0, math.floor(eager[k] + BOUNDARY_TOL))
+        assert p.boundaries == eager[:k + 1]
+        assert thr == [math.floor(b + BOUNDARY_TOL) for b in eager[:k + 1]]
         assert p.top_level == len(eager) - 1
         assert p.boundaries == eager
-        with pytest.raises(IndexError):
-            p.boundary(len(eager))
+        p.extend(thr, 1.0, math.inf)
+        assert len(thr) == len(eager) and thr[-1] == math.inf
+        assert p.boundaries == eager
 
 
 # engine weights: 1, each guess weight of the n = 30, eps = 0.2 ratio grid
@@ -115,15 +123,6 @@ GRID_WEIGHTS = sorted(
     {1.0, math.nextafter(2.0, 0.0), math.nextafter(30.0, 0.0)}
     | {t * t if t > 1.0 else 1.0 / (t * t) for t in ratio_grid(30, 0.2)}
 )
-
-
-def float_band(params, ind, w):
-    """Reference band: the smallest ``i`` with
-    ``ind <= L[i] * w + BOUNDARY_TOL * w``, compared in floats over the whole
-    table."""
-    top = params.top_level  # reading it builds the whole table
-    tol = BOUNDARY_TOL * w
-    return bisect_left(params.boundaries, ind, hi=top + 1, key=lambda b: b * w + tol)
 
 
 @settings(max_examples=100, deadline=None)
@@ -144,23 +143,18 @@ def test_engine_band_matches_float_rule(w, eps, steps, cap_c):
         config = replace(config, threshold=cap_c * log_scale(w) / eps**2)
     e = OrientationEngine(config, [w])
     kcap = e._kcap[0]
-
-    def expect(x):
-        if kcap is not None and x >= kcap:
-            return e.params.top_level
-        return float_band(e.params, x, w)
-
     ind = 0
     for step in steps:
         ind += step
-        assert e._band(0, ind) == expect(ind)
+        assert e._band(0, ind) == float_band(e.params, w, ind)
     if cap_c is not None:
+        assert e._band(0, kcap) == e.params.top_level
         for x in (kcap - 1, kcap, kcap + 1, 2 * kcap):
-            assert e._band(0, x) == expect(x)
+            assert e._band(0, x) == float_band(e.params, w, x)
     for k in list(e._thr[0]):
         if k < math.inf:
             for x in (k, k + 1):
-                assert e._band(0, x) == expect(x)
+                assert e._band(0, x) == float_band(e.params, w, x)
 
 
 # the band properties, on the engine's band of integer in-degrees at weight 1,
@@ -195,7 +189,7 @@ def test_round_trip(alpha, w, x):
     e = band_engine(alpha, w)
     i = e._band(0, x)
     assert i >= 1
-    assert i == float_band(e.params, x, w)
+    assert i == float_band(e.params, w, x)
     b, tol = e.params.boundaries, BOUNDARY_TOL * w
     assert b[i - 1] * w + tol < x <= b[i] * w + tol
 

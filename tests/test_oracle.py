@@ -31,6 +31,22 @@ def _undirected(n, edges, weights=None):
     return g
 
 
+def _brute_vwdsg(g):
+    """Optimum of ``|E(S)| / w(S)`` over every nonempty subset, in Fractions."""
+    best = Fraction(0)
+    for k in range(1, g.n + 1):
+        for s in itertools.combinations(range(g.n), k):
+            e = sum(m for (u, v), m in g.edges.items() if u in s and v in s)
+            best = max(best, Fraction(e) / sum(g.weights[v] for v in s))
+    return best
+
+
+def _check_against_brute_force(g):
+    expect = _brute_vwdsg(g)
+    assert oracle.exact_vwdsg(g)[0] == float(expect)
+    assert oracle.exact_vwdsg_density(g) == expect  # the witness's density
+
+
 class TestExactVwdsg:
     def test_triangle(self):
         density, witness = oracle.exact_vwdsg(_undirected(3, [(0, 1), (1, 2), (0, 2)]))
@@ -69,6 +85,29 @@ class TestExactVwdsg:
                 )
                 w = sum(weights[v] for v in witness)
                 assert density == pytest.approx(e / w)
+
+    def test_weights_whose_common_denominator_passes_int64(self):
+        # the weights' common denominator is about 1e18, so the weight of a
+        # set scaled to it passes 2**63; K8 with the edge {6, 7} four times
+        weights = [1 + Fraction(1, 999983), 1 + Fraction(1, 999979),
+                   1 + Fraction(1, 999961), 1, 1, 1, 1, 3]
+        g = _undirected(8, itertools.combinations(range(8), 2),
+                        weights=[Fraction(w) for w in weights])
+        g.add_edge(6, 7, 3)
+        _check_against_brute_force(g)
+        assert oracle.exact_vwdsg(g)[0] == pytest.approx(3.0999991, abs=1e-7)
+
+    def test_weights_with_seven_decimals(self):
+        # verify reads each weight to the nearest fraction with denominator
+        # at most 10**6; eight such denominators have a common multiple far
+        # past 2**63
+        rng = random.Random(11)
+        weights = [Fraction(1 + rng.randint(1, 9_999_999) / 1e7).limit_denominator(10**6)
+                   for _ in range(8)]
+        assert math.lcm(*(w.denominator for w in weights)) > 2**63
+        g = _undirected(8, [(u, v) for u, v in itertools.combinations(range(8), 2)
+                            if rng.random() < 0.6], weights=weights)
+        _check_against_brute_force(g)
 
 
 class TestExactDdsg:

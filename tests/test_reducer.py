@@ -139,6 +139,13 @@ class TestConstruction:
             with pytest.raises(ValueError, match="eps 2e-13 is too small"):
                 DirectedDensest(3, 2e-13)
 
+    @pytest.mark.parametrize("eps", [1e-85, 1e-160, 1e-200])
+    def test_rejects_eps_whose_powers_leave_the_float_range(self, eps):
+        # eps**4 underflows below about 1e-81, the duplication overflows a
+        # float below about 1e-154, and eps**2 underflows below about 1e-162
+        with pytest.raises(ValueError, match=f"eps {eps} is too small"):
+            DirectedDensest(3, eps)
+
 
 class TestUpdates:
     def test_insert_fans_out_one_logical_edge(self):
