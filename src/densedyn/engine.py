@@ -17,6 +17,14 @@ endpoints.  The work per update therefore does not grow with the number of
 copies.  A layer index (vertices bucketed by load band) supports peak-load
 queries and prefix extraction.
 
+Rebalancing visits the vertices an update touched first-in, first-out: a
+vertex whose load a move changed joins the back of one queue, so all the
+neighbours a vertex hands copies to are visited before any of them hands
+them on, and a receiver does not relay its copies down one long path.  The
+``max_chain_inc`` and ``max_chain_dec`` stats record the deepest vertex of a
+pass in that breadth-first order: the endpoints of the update have depth 1,
+and a vertex that the visit to one of depth d queues has depth d + 1.
+
 A vertex's band follows the rule in :mod:`densedyn.levels`: a bisect over
 the integer threshold list of its weight, which the level table grows on
 demand to the largest in-degree seen.
@@ -50,6 +58,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 
 from .levels import BOUNDARY_TOL, LevelParams, build_level_params
@@ -194,7 +203,11 @@ class OrientationEngine:
 
         eps = config.epsilon
         self.alpha = ALPHA_C * eps * eps / log_scale(n * max_w)
-        self.budget = math.ceil(LOOP_C / self.alpha)
+        try:
+            self.budget = math.ceil(LOOP_C / self.alpha)
+        except (ZeroDivisionError, OverflowError):  # alpha is 0, or the budget inf
+            raise ValueError(f"eps {eps} is too small: the band width {self.alpha} "
+                             f"underflows") from None
         self.threshold = config.threshold
         max_value = CAPACITY if self.threshold == INF else self.threshold
         self.params: LevelParams = build_level_params(self.alpha, max_value)
@@ -319,7 +332,7 @@ class OrientationEngine:
                 self._shift(head, c)
                 self._relabel(arc, self._lvl[head])
                 arc.count += c
-        self._settle(list(base), base, {}, "max_chain_inc")
+        self._settle(base, {}, "max_chain_inc")
 
     def delete(self, u: int, v: int, multiplicity: int = 1) -> None:
         """Delete ``multiplicity`` copies of the undirected edge {u, v}.
@@ -365,7 +378,7 @@ class OrientationEngine:
         if into_p.count == 0 and into_q.count == 0:
             del self._adj[p][q]
             del self._adj[q][p]
-        self._settle(list(base), base, owed, "max_chain_dec")
+        self._settle(base, owed, "max_chain_dec")
 
     def _check_pair(self, u: int, v: int) -> None:
         n = self.config.n
@@ -535,13 +548,16 @@ class OrientationEngine:
             self._layers[new] = {v}
         self._lvl[v] = new
 
-    def _settle(self, todo: list[int], base: dict[int, int], owed: dict[int, int],
-                chain: str) -> None:
+    def _settle(self, base: dict[int, int], owed: dict[int, int], chain: str) -> None:
         """Rebalance after an update until no vertex it touched is stale.
 
-        ``todo`` holds the endpoints the update changed, ``base`` the band
-        each had before it, and ``owed`` the copies a deletion took from
-        each.  A visit to ``x`` repeats two steps until neither moves a copy:
+        ``base`` maps the endpoints the update changed to the band each had
+        before it, and ``owed`` gives the copies a deletion took from each.
+        Vertices are visited first-in, first-out (see the module docstring):
+        the endpoints in ``base``'s order, then each vertex a move touched,
+        queued at the back unless it is already waiting.  ``chain`` names the
+        stats key that keeps the deepest breadth-first depth reached.  A
+        visit to ``x`` repeats two steps until neither moves a copy:
 
         * Pull-back: an outgoing direction labeled three or more bands above
           ``x`` is checked against its head.  A head two or more bands above
@@ -571,6 +587,7 @@ class OrientationEngine:
         lvl = self._lvl
         ind = self._ind
         band = self._band
+        todo = deque(base)
         depth = dict.fromkeys(todo, 1)
         deepest = 0
 
@@ -581,7 +598,7 @@ class OrientationEngine:
                 todo.append(y)
 
         while todo:
-            x = todo.pop()
+            x = todo.popleft()
             d = depth.pop(x)
             deepest = max(deepest, d)
             budget = self.budget * max(1, abs(lvl[x] - base.pop(x)))

@@ -247,7 +247,7 @@ def _oracle(header: StreamHeader, command: str):
             opt, s, t = oracle.exact_ddsg(mirror)
             return opt, {"sources": sorted(s), "sinks": sorted(t)}
     else:
-        weights = [Fraction(w).limit_denominator(10**6) for w in header.weight_list()]
+        weights = [Fraction(w) for w in header.weight_list()]
         mirror = oracle.SmallGraph(n=header.n, directed=False, weights=weights)
 
         def solve():

@@ -87,6 +87,14 @@ class TestConfig:
             make(2, duplication=41)
         make(2, duplication=40)
 
+    @pytest.mark.parametrize("eps", [1e-200, 1e-160])
+    def test_rejects_eps_whose_band_width_underflows(self, eps):
+        # alpha = ALPHA_C * eps^2 / log2(nW) is 0 at 1e-200 and a subnormal
+        # at 1e-160, where the arc-scan budget LOOP_C / alpha is inf
+        with pytest.raises(ValueError, match=f"eps {eps} is too small"):
+            make(3, eps=eps)
+        make(3, eps=1e-100)
+
     def test_rejects_threshold_below_floor(self):
         # minimum useful cap is log2(nW) / eps^2
         with pytest.raises(ValueError):

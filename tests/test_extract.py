@@ -377,7 +377,7 @@ class TestEarlyExit:
 
     @pytest.mark.parametrize(
         "seed, n, dup, hot, hot_p, delete_p, updates, every",
-        [pytest.param(s, 24, 8, 4, 0.5, 0.0, 60, 1, id=str(s)) for s in (0, 4, 6)]
+        [pytest.param(s, 24, 8, 4, 0.5, 0.0, 60, 1, id=str(s)) for s in (0, 4, 16)]
         # the benchmark's band counts: a 20-vertex core in n = 120 at the
         # duplication factor (None), with deletes; it reaches over 50 bands
         + [pytest.param(1, 120, None, 20, 0.6, 0.3, 800, 4, id="n120")],

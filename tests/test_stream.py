@@ -151,8 +151,8 @@ class TestGolden:
         text = random_stream_text(6, "ddsg", 0.3, 60, seed=5, query_every=15)
         report = run(*parse_stream(text))
         assert report.counters == {
-            "arcs_inc": 2743, "arcs_dec": 3260, "flips": 1857, "copies_moved": 10690,
-            "label_resets": 1284, "max_chain_inc": 10, "max_chain_dec": 7,
+            "arcs_inc": 2376, "arcs_dec": 2866, "flips": 1607, "copies_moved": 10066,
+            "label_resets": 1115, "max_chain_inc": 7, "max_chain_dec": 8,
             "inserts": 15312, "deletes": 12528,
         }
         assert [(q["index"], q["sources"], q["sinks"], q["regime"]) for q in report.queries] == [
@@ -167,16 +167,16 @@ class TestGolden:
         head, _, body = random_stream_text(12, "vwdsg", 0.25, 80, seed=6, query_every=20).partition("\n")
         report = run(*parse_stream(f"{head}\nw 0 3.0\nw 4 1.5\nw 7 6.0\n{body}"))
         assert report.counters == {
-            "arcs_inc": 4826, "arcs_dec": 5526, "flips": 3612, "copies_moved": 35017,
-            "label_resets": 3250, "max_chain_inc": 16, "max_chain_dec": 10,
+            "arcs_inc": 2733, "arcs_dec": 3381, "flips": 2230, "copies_moved": 30195,
+            "label_resets": 2088, "max_chain_inc": 10, "max_chain_dec": 7,
             "inserts": 21330, "deletes": 10270,
         }
         assert [(q["index"], q["vertices"], q["prefix_level"]) for q in report.queries] == [
             (20, [1, 4, 5, 8, 11], 211),
             (41, [1, 2, 3, 4, 5, 6, 8, 9, 10, 11], 313),
             (62, [1, 2, 3, 5, 6, 8, 9, 10, 11], 365),
-            (83, [0, 1, 2, 3, 4, 5, 6, 8, 10, 11], 372),
-            (84, [0, 1, 2, 3, 4, 5, 6, 8, 10, 11], 372),
+            (83, [0, 1, 2, 3, 4, 5, 6, 8, 10, 11], 373),
+            (84, [0, 1, 2, 3, 4, 5, 6, 8, 10, 11], 373),
         ]
 
     def test_weighted_vwdsg_query_after_every_update(self, monkeypatch):
@@ -196,12 +196,12 @@ class TestGolden:
         head, _, body = random_stream_text(24, "vwdsg", 0.5, 200, seed=2, query_every=1).partition("\n")
         report = run(*parse_stream(f"{head}\nw 0 3.0\nw 4 1.5\nw 7 6.0\n{body}"))
         assert report.counters == {
-            "arcs_inc": 6086, "arcs_dec": 5725, "flips": 3365, "copies_moved": 20923,
-            "label_resets": 3816, "max_chain_inc": 11, "max_chain_dec": 8,
+            "arcs_inc": 5217, "arcs_dec": 4883, "flips": 2812, "copies_moved": 19472,
+            "label_resets": 3720, "max_chain_inc": 12, "max_chain_dec": 6,
             "inserts": 15295, "deletes": 7705,
         }
         assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == (
-            "a5e31acdb88d30eb21a6c85b3aaf04446c5b914aa5bb2fbd943109917d929f91"
+            "f16b14f53d70c9c4ef026184c27270d94c90a2c0a04b44af1f58fbdca26c0925"
         )
         assert len(reused) == 201 and any(reused)
 
@@ -232,6 +232,17 @@ class TestVerify:
         header, events = parse_stream(text)
         report = verify(header, events)
         assert report.ok
+
+    def test_oracle_solves_the_exact_weights(self):
+        # weights with seven decimals have no small-denominator fraction;
+        # the optimum over the weights rounded to a denominator of at most
+        # 10^6 sat below an estimate here (a ratio of 1.000000000000239)
+        head, _, body = random_stream_text(10, "vwdsg", 0.25, 40, seed=1, query_every=10).partition("\n")
+        weights = ("w 2 2.1388457\nw 1 1.6298644\nw 4 2.4635700\nw 0 3.6799511\n"
+                   "w 3 2.1694264\nw 5 2.8223140\nw 7 3.3014729\nw 9 3.0874986\n")
+        report = verify(*parse_stream(f"{head}\n{weights}{body}"))
+        assert report.ok
+        assert max(q["ratio"] for q in report.queries) <= 1
 
     def test_rejects_large_n(self):
         header, events = parse_stream("h 64 ddsg 0.2\n?\n")
