@@ -17,6 +17,10 @@ endpoints.  The work per update therefore does not grow with the number of
 copies.  A layer index (vertices bucketed by load band) supports peak-load
 queries and prefix extraction.
 
+Inserts and deletes are repaired by the same rules, which only ever even out
+a direction whose head sits two or more bands above its tail (or refresh a
+stale label); no rule remembers which update moved which copies.
+
 Rebalancing visits the vertices an update touched first-in, first-out: a
 vertex whose load a move changed joins the back of one queue, so all the
 neighbours a vertex hands copies to are visited before any of them hands
@@ -127,7 +131,10 @@ class EngineConfig:
                 f"{self.duplication} copies, more than the capacity {CAPACITY}"
             )
         if self.threshold != INF:
-            floor = log_scale(self.n * max_weight) / self.epsilon**2
+            floor = log_scale(self.n * max_weight) / self.epsilon / self.epsilon
+            if floor == INF:  # eps^2 underflows, or the quotient overflows
+                raise ValueError(f"eps {self.epsilon} is too small: the load cap's "
+                                 f"floor log2(nW) / eps^2 is infinite")
             if self.threshold < floor - BOUNDARY_TOL:
                 raise ValueError(
                     f"threshold {self.threshold} below minimum {floor:.3f}"
@@ -332,7 +339,7 @@ class OrientationEngine:
                 self._shift(head, c)
                 self._relabel(arc, self._lvl[head])
                 arc.count += c
-        self._settle(base, {}, "max_chain_inc")
+        self._settle(base, "max_chain_inc")
 
     def delete(self, u: int, v: int, multiplicity: int = 1) -> None:
         """Delete ``multiplicity`` copies of the undirected edge {u, v}.
@@ -341,7 +348,7 @@ class OrientationEngine:
         higher-load endpoint first (ties toward the smaller id), by the same
         greedy rule without rebalancing in between, falling back to the other
         direction once one runs dry.  One rebalancing pass then starts from
-        the endpoints that lost copies, which may pull that many back in.
+        the endpoints that lost copies.
         """
         self._check_pair(u, v)
         if multiplicity < 1:
@@ -368,17 +375,15 @@ class OrientationEngine:
         self.stats["deletes"] += k
         self._copies -= k
         base = {}
-        owed = {}
         for arc, c in ((into_q, k - x), (into_p, x)):
             if c:
                 base[arc.head] = self._lvl[arc.head]
-                owed[arc.head] = c
                 self._drop(arc, c)
                 self._shift(arc.head, -c)
         if into_p.count == 0 and into_q.count == 0:
             del self._adj[p][q]
             del self._adj[q][p]
-        self._settle(base, owed, "max_chain_dec")
+        self._settle(base, "max_chain_dec")
 
     def _check_pair(self, u: int, v: int) -> None:
         n = self.config.n
@@ -548,23 +553,21 @@ class OrientationEngine:
             self._layers[new] = {v}
         self._lvl[v] = new
 
-    def _settle(self, base: dict[int, int], owed: dict[int, int], chain: str) -> None:
+    def _settle(self, base: dict[int, int], chain: str) -> None:
         """Rebalance after an update until no vertex it touched is stale.
 
         ``base`` maps the endpoints the update changed to the band each had
-        before it, and ``owed`` gives the copies a deletion took from each.
-        Vertices are visited first-in, first-out (see the module docstring):
-        the endpoints in ``base``'s order, then each vertex a move touched,
-        queued at the back unless it is already waiting.  ``chain`` names the
-        stats key that keeps the deepest breadth-first depth reached.  A
-        visit to ``x`` repeats two steps until neither moves a copy:
+        before it.  Vertices are visited first-in, first-out (see the module
+        docstring): the endpoints in ``base``'s order, then each vertex a move
+        touched, queued at the back unless it is already waiting.  ``chain``
+        names the stats key that keeps the deepest breadth-first depth
+        reached.  A visit to ``x`` repeats two steps until neither moves a
+        copy:
 
         * Pull-back: an outgoing direction labeled three or more bands above
           ``x`` is checked against its head.  A head two or more bands above
-          ``x`` is evened out with ``x``.  Otherwise, if ``x`` still owes
-          copies, up to that many come home as long as ``x`` ends at most one
-          band above the head.  Otherwise only the label is stale, and it
-          gets the head's band.
+          ``x`` is evened out with ``x``; otherwise only the label is stale,
+          and it gets the head's band.
         * Flip: incoming directions labeled two or more bands below ``x`` are
           scanned lowest band first, earliest filed within a band.  A tail
           also two or more bands below is evened out with ``x``; any other
@@ -574,7 +577,7 @@ class OrientationEngine:
         first.  Each scan stops at the first fresh label or after ``budget``
         arcs per band ``x`` moved since it was queued.  Every move queues its
         other endpoint.  Evening out lowers ``sum(indeg^2 / weight)`` with each
-        copy and owed copies only run down, so the queue empties.
+        copy, so the queue empties.
 
         Each scan step reads one extreme key of the label index with ``min``
         or ``max`` over a vertex's live keys (the highest outgoing band, the
@@ -585,8 +588,6 @@ class OrientationEngine:
         """
         stats = self.stats
         lvl = self._lvl
-        ind = self._ind
-        band = self._band
         todo = deque(base)
         depth = dict.fromkeys(todo, 1)
         deepest = 0
@@ -614,26 +615,13 @@ class OrientationEngine:
                     y = arc.head
                     stats["arcs_dec"] += 1
                     ly = lvl[y]
-                    if lx + 2 <= ly:
-                        m = self._even_out(arc)
-                    else:
-                        due = owed.get(x, 0)
-                        if not due or lx > ly + 1:
-                            # the head is not above x: only the label is stale
-                            stats["label_resets"] += 1
-                            self._relabel(arc, ly)
-                            continue
-                        # x still owes copies a deletion took: pull them home
-                        # as long as x ends at most one band above the head
-                        ix, iy = ind[x], ind[y]
-                        m = _last_true(
-                            1,
-                            min(due, arc.count),
-                            lambda m: band(x, ix + m - 1) <= band(y, iy - m + 1) + 1,
-                        )
-                        owed[x] = due - m
+                    if ly < lx + 2:
+                        # the head is not far above x: only the label is stale
+                        stats["label_resets"] += 1
+                        self._relabel(arc, ly)
+                        continue
                     touch(y, d + 1)
-                    self._move(arc, m)
+                    self._move(arc, self._even_out(arc))
                 moved = False
                 for _ in range(budget):
                     if not in_map:

@@ -134,7 +134,7 @@ def exact_vwdsg(g: SmallGraph) -> tuple[float, set[int]]:
 
 def exact_vwdsg_density(g: SmallGraph) -> Fraction:
     """Exact rational optimum of ``|E(S)| / w(S)``."""
-    density, witness = exact_vwdsg(g)
+    _, witness = exact_vwdsg(g)
     e = sum(m for (u, v), m in g.edges.items() if u in witness and v in witness)
     w = sum(g.weights[v] for v in witness)
     return Fraction(e, 1) / w if w else Fraction(0)

@@ -257,6 +257,25 @@ def _oracle(header: StreamHeader, command: str):
     return mirror, solve
 
 
+def _exact_density(mirror: oracle.SmallGraph, answer: dict) -> Fraction:
+    """Exact density over ``mirror`` of a query's answer fields, squared for a
+    directed pair so that it stays rational: ``|E(S, T)|^2 / (|S| |T|)`` of
+    ``sources`` and ``sinks``, or ``|E(S)| / w(S)`` of ``vertices``.  An
+    empty answer has density 0."""
+    edges = mirror.edges.items()
+    if mirror.directed:
+        s, t = set(answer["sources"]), set(answer["sinks"])
+        if not s or not t:
+            return Fraction(0)
+        e = sum(m for (u, v), m in edges if u in s and v in t)
+        return Fraction(e * e, len(s) * len(t))
+    vs = set(answer["vertices"])
+    if not vs:
+        return Fraction(0)
+    e = sum(m for (u, v), m in edges if u in vs and v in vs)
+    return e / sum(mirror.weights[v] for v in vs)
+
+
 def _timed(fn, timings: dict[str, float], key: str):
     def call(*args):
         t0 = time.perf_counter()
@@ -334,8 +353,10 @@ class VerifyReport:
 def verify(header: StreamHeader, events: list[UpdateEvent], eps: float | None = None) -> VerifyReport:
     """Replay with a brute-force oracle cross-check at every query.
 
-    Requires desk-scale n.  Reports the worst estimate/optimum ratio, flags
-    any estimate exceeding the optimum, and runs the band-inequality and
+    Requires desk-scale n.  Reports the worst ratio of the returned set's
+    density to the optimum, both exact over the oracle's mirror (a directed
+    pair's is the square root of the exact ratio of squares), flags any
+    estimate exceeding the optimum, and runs the band-inequality and
     local-optimality checkers on every instance at every query point.
     ``eps``, when given, overrides the header epsilon.
     """
@@ -353,10 +374,13 @@ def verify(header: StreamHeader, events: list[UpdateEvent], eps: float | None = 
         delete(u, v)
 
     def check(idx):
-        estimate, _ = query()
-        opt, _ = solve()
+        estimate, answer = query()
+        opt, witness = solve()
         sound = estimate <= opt + 1e-9
-        ratio = 1.0 if opt == 0 and estimate == 0 else (estimate / opt if opt > 0 else 0.0)
+        got, best = _exact_density(mirror, answer), _exact_density(mirror, witness)
+        ratio = float(got / best) if best else 1.0  # no answer beats an optimum of 0
+        if mirror.directed:
+            ratio = math.sqrt(ratio)
         bad_arcs = 0
         local_ok = True
         for eng in engines:

@@ -81,3 +81,67 @@ def test_public_surface_is_read_by_the_program():
             and name not in attrs
         }
     assert sorted(unread) == []
+
+
+def _unread_locals(tree: ast.Module) -> list[str]:
+    """``function:name`` for each local a function assigns and nothing in it,
+    nested functions included, reads; ``_`` is the name for a value thrown
+    away.  A name a nested function declares ``nonlocal`` or ``global`` is
+    its outer scope's."""
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, read, shared = set(), set(), set()
+        todo = list(fn.body)
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                # a nested scope: its reads count here, its stores are its own
+                read |= {n.id for n in ast.walk(node)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                continue
+            if isinstance(node, (ast.Nonlocal, ast.Global)):
+                shared.update(node.names)
+            elif isinstance(node, ast.Name):
+                (read if isinstance(node.ctx, ast.Load) else stored).add(node.id)
+            todo += ast.iter_child_nodes(node)
+        found += [f"{fn.name}:{name}" for name in sorted(stored - read - shared - {"_"})]
+    return found
+
+
+def test_no_function_keeps_an_unread_local():
+    # a local that nothing reads is what a deleted branch leaves behind
+    root = Path(densedyn.__file__).resolve().parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        found += [f"{path.stem}.{hit}" for hit in _unread_locals(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_every_private_helper_is_read():
+    # a module-level _name that no module of the package reads is dead code
+    root = Path(densedyn.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(root.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    defined = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [f"{stem}.{name}" for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+    assert [d for d in defined if d.split(".")[1] not in read] == []

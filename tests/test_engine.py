@@ -95,6 +95,13 @@ class TestConfig:
             make(3, eps=eps)
         make(3, eps=1e-100)
 
+    @pytest.mark.parametrize("eps", [1e-200, 1e-160])
+    def test_rejects_eps_whose_threshold_floor_is_infinite(self, eps):
+        # the load cap's floor log2(nW) / eps^2 divides by 0 at 1e-200 and
+        # overflows at 1e-160; the check runs before the band width's
+        with pytest.raises(ValueError, match=f"eps {eps} is too small"):
+            make(3, eps=eps, threshold=100.0)
+
     def test_rejects_threshold_below_floor(self):
         # minimum useful cap is log2(nW) / eps^2
         with pytest.raises(ValueError):
@@ -233,19 +240,23 @@ class TestRebalancing:
         assert arcs_before >= 1  # the pass inspected the fresh arc
         assert flips == 0
 
-    def test_decrease_pass_pulls_back_overloaded_arc(self):
-        # planted stale-high label on the outgoing direction 0->1 makes the
-        # deletion at 0 pull one copy home and restore its load
-        e = make(2, alpha=0.5, weights=[1.0, 4.0])
+    def test_delete_evens_out_overloaded_out_neighbour(self):
+        # vertices 0 and 1 sit level, 0 held up by the edge {0, 2}; deleting
+        # that whole edge drops 0 two or more bands below its out-neighbour 1,
+        # and the pull-back evens out 0->1: three copies turn around
+        e = make(3, alpha=0.5)
         e.insert(0, 1, multiplicity=8)
-        assert e.indeg(0) == 2
-        force_label(e, 0, 1, e._band(0, 8))  # the band of load 8 at weight 1
-        flips = e.stats["flips"]
-        e.delete(0, 1)
-        assert e.stats["flips"] == flips + 1
-        assert e.indeg(0) == 2  # restored by the pull-back
+        e.insert(0, 2, multiplicity=16)
+        assert [e.indeg(v) for v in range(3)] == [7, 7, 10]
         rec = arc_pair_record(e, 0, 1)
-        assert rec["count_uv"] == 5 and rec["count_vu"] == 2
+        assert rec["count_uv"] == 7 and rec["count_vu"] == 1
+        assert e._band(0, 1) + 2 <= e._lvl[1]  # 0's in-degree once {0, 2} is gone
+        flips = e.stats["flips"]
+        e.delete(0, 2, multiplicity=16)
+        assert e.stats["flips"] == flips + 1
+        assert [e.indeg(v) for v in range(3)] == [4, 4, 0]
+        rec = arc_pair_record(e, 0, 1)
+        assert rec["count_uv"] == 4 and rec["count_vu"] == 4
         assert not e.verify_local_optimality()
         audit(e)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -151,8 +152,8 @@ class TestGolden:
         text = random_stream_text(6, "ddsg", 0.3, 60, seed=5, query_every=15)
         report = run(*parse_stream(text))
         assert report.counters == {
-            "arcs_inc": 2376, "arcs_dec": 2866, "flips": 1607, "copies_moved": 10066,
-            "label_resets": 1115, "max_chain_inc": 7, "max_chain_dec": 8,
+            "arcs_inc": 2382, "arcs_dec": 2732, "flips": 1454, "copies_moved": 9728,
+            "label_resets": 1132, "max_chain_inc": 7, "max_chain_dec": 8,
             "inserts": 15312, "deletes": 12528,
         }
         assert [(q["index"], q["sources"], q["sinks"], q["regime"]) for q in report.queries] == [
@@ -167,14 +168,14 @@ class TestGolden:
         head, _, body = random_stream_text(12, "vwdsg", 0.25, 80, seed=6, query_every=20).partition("\n")
         report = run(*parse_stream(f"{head}\nw 0 3.0\nw 4 1.5\nw 7 6.0\n{body}"))
         assert report.counters == {
-            "arcs_inc": 2733, "arcs_dec": 3381, "flips": 2230, "copies_moved": 30195,
-            "label_resets": 2088, "max_chain_inc": 10, "max_chain_dec": 7,
+            "arcs_inc": 2710, "arcs_dec": 3237, "flips": 2111, "copies_moved": 29843,
+            "label_resets": 2060, "max_chain_inc": 10, "max_chain_dec": 9,
             "inserts": 21330, "deletes": 10270,
         }
         assert [(q["index"], q["vertices"], q["prefix_level"]) for q in report.queries] == [
             (20, [1, 4, 5, 8, 11], 211),
             (41, [1, 2, 3, 4, 5, 6, 8, 9, 10, 11], 313),
-            (62, [1, 2, 3, 5, 6, 8, 9, 10, 11], 365),
+            (62, [1, 2, 3, 5, 6, 8, 9, 10, 11], 366),
             (83, [0, 1, 2, 3, 4, 5, 6, 8, 10, 11], 373),
             (84, [0, 1, 2, 3, 4, 5, 6, 8, 10, 11], 373),
         ]
@@ -196,12 +197,12 @@ class TestGolden:
         head, _, body = random_stream_text(24, "vwdsg", 0.5, 200, seed=2, query_every=1).partition("\n")
         report = run(*parse_stream(f"{head}\nw 0 3.0\nw 4 1.5\nw 7 6.0\n{body}"))
         assert report.counters == {
-            "arcs_inc": 5217, "arcs_dec": 4883, "flips": 2812, "copies_moved": 19472,
-            "label_resets": 3720, "max_chain_inc": 12, "max_chain_dec": 6,
+            "arcs_inc": 5300, "arcs_dec": 4820, "flips": 2725, "copies_moved": 19219,
+            "label_resets": 3777, "max_chain_inc": 8, "max_chain_dec": 6,
             "inserts": 15295, "deletes": 7705,
         }
         assert hashlib.sha256(report.to_jsonl().encode()).hexdigest() == (
-            "f16b14f53d70c9c4ef026184c27270d94c90a2c0a04b44af1f58fbdca26c0925"
+            "efb91d710ac4e99b889f7495f4cc1fec41f94984c60f4aacc311112a866f9ec1"
         )
         assert len(reused) == 201 and any(reused)
 
@@ -243,6 +244,20 @@ class TestVerify:
         report = verify(*parse_stream(f"{head}\n{weights}{body}"))
         assert report.ok
         assert max(q["ratio"] for q in report.queries) <= 1
+
+    def test_ratio_never_exceeds_one(self):
+        # the engine's certified density is a float quotient that can land
+        # one ulp above the rounded optimum (a ratio of 1.0000000000000002
+        # on 95 of these streams); the ratio compares exact densities
+        for seed in range(200):
+            rng = random.Random(seed)
+            head, _, body = random_stream_text(10, "vwdsg", 0.25, 40, seed=seed,
+                                               query_every=10).partition("\n")
+            weights = "".join(f"w {v} {rng.uniform(1, 4):.7f}\n"
+                              for v in rng.sample(range(10), 8))
+            report = verify(*parse_stream(f"{head}\n{weights}{body}"))
+            assert report.ok, seed
+            assert max(q["ratio"] for q in report.queries) <= 1, seed
 
     def test_rejects_large_n(self):
         header, events = parse_stream("h 64 ddsg 0.2\n?\n")
